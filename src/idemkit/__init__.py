@@ -15,6 +15,7 @@ from .calculus import (
     CertifiedUnit,
     catalan,
     certify_idempotent,
+    certify_unit,
     conjugating_unit,
     conjugation_bound,
     conjugation_threshold,
@@ -56,7 +57,6 @@ from .deloop import (
     CollapseCertificate,
     CornerIdempotent,
     EndOperator,
-    corner_roundtrip,
     end_norm,
     finite_collapse_certificate,
     swindle_conjugator,
@@ -86,6 +86,7 @@ from .instances import (
     conjugated_projector,
     make_cantor_tower,
     make_uhf_tower,
+    over_complex,
     parse_instance,
     parse_tower,
     random_almost_idempotent,

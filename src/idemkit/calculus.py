@@ -203,6 +203,29 @@ def conjugation_threshold(e_norm) -> float:
     return math.sqrt(b * b + 1) - b
 
 
+def certify_unit(
+    instance: AlgebraInstance, cert: Certificate, e, f, u, u_inv, tol: float, intertwine_rhs=None
+) -> None:
+    """Record that ``u`` conjugates ``e`` to ``f`` and that ``u_inv`` inverts it.
+
+    Adds ``intertwine``, ``norm(e*u - u*f)`` against ``intertwine_rhs``
+    (default ``tol * (1 + norm(e) + norm(f))``), then, unless ``u_inv`` is
+    None, ``residual-left`` and ``residual-right``, ``norm(u*u_inv - 1)``
+    and ``norm(u_inv*u - 1)`` against ``tol``.
+    """
+    if intertwine_rhs is None:
+        intertwine_rhs = tol * (1 + float(instance.norm(e)) + float(instance.norm(f)))
+    cert.add(
+        "intertwine",
+        instance.distance(instance.mul(e, u), instance.mul(u, f)),
+        intertwine_rhs,
+    )
+    if u_inv is not None:
+        one = instance.one()
+        cert.add("residual-left", instance.distance(instance.mul(u, u_inv), one), tol)
+        cert.add("residual-right", instance.distance(instance.mul(u_inv, u), one), tol)
+
+
 def conjugating_unit(
     instance: AlgebraInstance,
     e: CertifiedIdempotent,
@@ -228,11 +251,7 @@ def conjugating_unit(
     u = intertwiner(instance, e.e, f.e)
     inverted = neumann_inverse(instance, u, tol)
     cert = instance.certificate()
-    cert.add(
-        "intertwine",
-        instance.distance(instance.mul(e.e, u), instance.mul(u, f.e)),
-        tol * (1 + float(ne) + float(nf)),
-    )
+    certify_unit(instance, cert, e.e, f.e, u, None, tol)
     cert.add("unit-distance", instance.distance(u, instance.one()), bound)
     cert.extend(inverted.cert)
     return CertifiedUnit(u, inverted.u_inv, cert)
@@ -248,6 +267,8 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
     Stops at the smallest ``N`` whose first omitted term bound, divided by
     ``1 - 4t``, is at most ``tol`` (the term bounds decay at least
     geometrically with ratio ``4t``).  Returns ``(value, tail_bound)``.
+    Raises :class:`SeriesTruncationError` past ``SERIES_HARD_CAP`` terms or
+    once a coefficient no longer fits in a float.
     """
     if t == 0:
         return instance.zero(), 0.0
@@ -262,8 +283,14 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
                 f"series needs more than {SERIES_HARD_CAP} terms at defect {t}"
             )
         s_pow = s if s_pow is None else instance.mul(s_pow, s)
-        acc = instance.add(acc, instance.int_scale(coefficient(n), s_pow))
-        next_bound = term_bound * abs(coefficient(n + 1)) / abs(coefficient(n)) * t
+        try:
+            acc = instance.add(acc, instance.int_scale(coefficient(n), s_pow))
+            next_bound = term_bound * abs(coefficient(n + 1)) / abs(coefficient(n)) * t
+        except OverflowError as exc:
+            raise SeriesTruncationError(
+                f"series coefficient {n + 1} overflows a float before the tail "
+                f"bound reaches {tol} at defect {t}"
+            ) from exc
         if next_bound / (1 - 4 * t) <= tol:
             return acc, next_bound / (1 - 4 * t)
         term_bound = next_bound

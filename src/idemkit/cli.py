@@ -21,15 +21,17 @@ from typing import Optional
 import numpy as np
 
 from . import calculus, colimit, deloop, homotopy, k0 as k0mod
-from .core import CertEntry, Certificate, check_norm_axioms, tensor_norm_int
+from .core import Certificate, check_norm_axioms, tensor_norm_int
 from .errors import ConfigError, IdemkitError
 from .instances import (
     COMPLEX,
+    TOWER_KINDS,
     ComplexScalars,
     MatrixAlgebra,
     SampledFunctionAlgebra,
     Tower,
     conjugated_projector,
+    over_complex,
     parse_instance,
     parse_tower,
     random_almost_idempotent,
@@ -46,8 +48,6 @@ COMMANDS = (
     "norm-audit",
     "tensor-audit",
 )
-
-_TOWER_KINDS = ("uhf", "cantor")
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.format!r}")
+        for name in ("instance", "tower"):
+            if not isinstance(getattr(self, name), (dict, type(None))):
+                raise ConfigError(f"the {name} descriptor must be a JSON object")
+        if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
+            raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (isinstance(self.trials, int) and self.trials >= 1):
+            raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -115,7 +122,7 @@ def _report_skeleton(config: ExperimentConfig) -> dict:
 
 def _run_lift(config: ExperimentConfig, report: dict) -> None:
     inst = parse_instance(config.instance or {"kind": "complex"})
-    if isinstance(inst, MatrixAlgebra) and inst.numeric:
+    if isinstance(inst, MatrixAlgebra) and over_complex(inst):
         a = random_almost_idempotent(inst, config.defect, seed=config.seed)
     elif isinstance(inst, ComplexScalars):
         # the real scalar with squaring defect exactly `defect`
@@ -134,7 +141,7 @@ def _run_lift(config: ExperimentConfig, report: dict) -> None:
 
 def _run_k0(config: ExperimentConfig, report: dict) -> None:
     desc = config.instance or config.tower or {"kind": "matrix", "n": 2}
-    obj = parse_tower(desc) if desc.get("kind") in _TOWER_KINDS else parse_instance(desc)
+    obj = parse_tower(desc) if desc.get("kind") in TOWER_KINDS else parse_instance(desc)
     pres = k0mod.k0_of_instance(obj)
     report["k0"] = pres.to_json()
     report["class_map_samples"] = _k0_samples(obj, config.seed, report)
@@ -146,13 +153,13 @@ def _k0_samples(obj, seed: int, report: dict) -> list:
     if isinstance(obj, ComplexScalars):
         for v in (0, 1):
             samples.append({"element": v, "key": v})
-    elif isinstance(obj, MatrixAlgebra) and obj.numeric:
+    elif isinstance(obj, MatrixAlgebra) and over_complex(obj):
         for rank in range(min(obj.n, 3) + 1):
             e = conjugated_projector(obj, rank, rng, spread=0.4)
             cls = k0mod.classify(obj, calculus.certify_idempotent(obj, e, 1e-9))
             samples.append({"rank": rank, "key": cls.key})
             report["certificates"].append(_cert_blob(f"class[rank={rank}]", cls.cert))
-    elif isinstance(obj, SampledFunctionAlgebra) and obj.numeric:
+    elif isinstance(obj, SampledFunctionAlgebra) and over_complex(obj):
         for trial in range(min(obj.size, 3)):
             bits = rng.integers(0, 2, obj.size)
             e = bits.astype(complex)
@@ -178,9 +185,7 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
                 {
                     "name": f"transfer[{rec['trial']}]",
                     "entries": rec["transfer_certificate"],
-                    "valid": all(
-                        _holds(e) for e in rec["transfer_certificate"] if not e.get("advisory")
-                    ),
+                    "valid": Certificate.from_json(rec["transfer_certificate"]).valid,
                 }
             )
         summary_cert = Certificate()
@@ -228,10 +233,6 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
         raise ConfigError(f"unknown transfer direction {config.direction!r}")
 
 
-def _holds(entry: dict) -> bool:
-    return CertEntry.from_json(entry).holds
-
-
 def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
     inst = MatrixAlgebra(COMPLEX, config.n)
     if config.path == "rotation":
@@ -255,7 +256,7 @@ def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
 
 
 def _run_swindle(config: ExperimentConfig, report: dict) -> None:
-    _, swindle = deloop.swindle_conjugator(config.support)
+    swindle = deloop.swindle_conjugator(config.support)
     report["swindle"] = swindle.to_json()
     cert = Certificate()
     cert.add("collisions", swindle.collisions, 0)

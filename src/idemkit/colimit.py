@@ -22,6 +22,7 @@ from .calculus import (
     CertifiedIdempotent,
     CertifiedUnit,
     certify_idempotent,
+    certify_unit,
     conjugating_unit,
     conjugation_bound,
     conjugation_threshold,
@@ -33,7 +34,7 @@ from .calculus import (
 from .core import Certificate
 from .errors import ConfigError, PreconditionError, TowerTooShallowError
 from .instances import MatrixAlgebra, SampledFunctionAlgebra, Tower, conjugated_projector
-from .k0 import normalized_trace_key
+from .k0 import grid_bits, normalized_trace_key
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,10 @@ def level_class_key(tower: Tower, level: int, e):
     if isinstance(inst, MatrixAlgebra):
         return normalized_trace_key(inst, e)
     if isinstance(inst, SampledFunctionAlgebra):
-        bits = tuple(int(round(v.real)) for v in np.asarray(e))
-        while len(bits) > 1 and bits[::2] == bits[1::2]:
+        bits = grid_bits(e)
+        while bits.size > 1 and np.array_equal(bits[::2], bits[1::2]):
             bits = bits[::2]
-        return bits
+        return tuple(bits.tolist())
     raise ConfigError(f"no colimit class key for level kind {inst.kind!r}")
 
 
@@ -268,14 +269,7 @@ def transfer_injective(
         closing = conjugating_unit(inst, d_cert, f_cert, tol)
         total = inst.mul(u_j, closing.u)
         total_inv = inst.mul(closing.u_inv, u_j_inv)
-        one = inst.one()
-        cert.add(
-            "intertwine",
-            float(inst.distance(inst.mul(e_j, total), inst.mul(total, f_j))),
-            tol * (1 + float(inst.norm(e_j)) + float(inst.norm(f_j))),
-        )
-        cert.add("residual-left", float(inst.distance(inst.mul(total, total_inv), one)), tol)
-        cert.add("residual-right", float(inst.distance(inst.mul(total_inv, total), one)), tol)
+        certify_unit(inst, cert, e_j, f_j, total, total_inv, tol)
         cert.extend(closing.cert, prefix="closing:")
         return InjectiveTransfer(level=j, unit=CertifiedUnit(total, total_inv, cert), cert=cert)
     raise TowerTooShallowError(

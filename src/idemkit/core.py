@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigError
 
 #: A norm value: a nonnegative real, exact (``int``/``Fraction``) on exact
@@ -40,7 +42,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot read {x!r} as an exact rational") from exc
     raise ConfigError(f"cannot read {x!r} as an exact rational")
 
 
@@ -158,11 +163,16 @@ class Certificate:
 class AlgebraInstance(ABC):
     """Operation table realizing a concrete normed ring.
 
-    Elements are plain values (scalars, arrays, tuples) tagged by the
-    instance that owns them; all arithmetic goes through this table.  An
-    instance declares ``exact = True`` when its arithmetic and norm are
-    exact rationals; floating instances carry ``slack``, the absolute
-    tolerance added to certified right-hand sides.
+    An element is a numpy array of shape ``shape`` and dtype ``dtype``
+    (scalar instances use plain numbers, shape ``()``); all arithmetic goes
+    through this table.  Every operation also accepts extra leading batch
+    axes, which is what lets one instance serve as another's entries.  The
+    defaults below are entrywise numpy arithmetic, which is the ring
+    structure of every scalar instance.  An instance declares
+    ``exact = True`` when its arithmetic and norm are exact rationals
+    (``dtype=object`` holding Python ints, norms as ``Fraction``); floating
+    instances carry ``slack``, the absolute tolerance added to certified
+    right-hand sides.
 
     All operations are pure; instances are immutable after construction and
     safe to share between threads.
@@ -174,15 +184,23 @@ class AlgebraInstance(ABC):
     #: whether the multiplicative axioms (submultiplicativity, unit norm)
     #: are part of this instance's contract
     is_banach_ring: bool = True
+    #: trailing axes of an element; ``()`` for scalars
+    shape: tuple = ()
+    #: numpy dtype of element arrays
+    dtype: Any = complex
 
-    @abstractmethod
-    def add(self, x, y): ...
+    def add(self, x, y):
+        return x + y
 
-    @abstractmethod
-    def neg(self, x): ...
+    def neg(self, x):
+        return -x
 
-    @abstractmethod
-    def mul(self, x, y): ...
+    def mul(self, x, y):
+        return x * y
+
+    def int_scale(self, k: int, x):
+        """``k``-fold sum of ``x``."""
+        return k * x
 
     @abstractmethod
     def one(self): ...
@@ -191,7 +209,12 @@ class AlgebraInstance(ABC):
     def zero(self): ...
 
     @abstractmethod
-    def norm(self, x) -> NormValue: ...
+    def norms(self, x):
+        """Norms of a stack of elements, one per index of its batch axes."""
+
+    def norm(self, x) -> NormValue:
+        n = self.norms(x)
+        return n if self.exact else float(n)
 
     @abstractmethod
     def random_element(self, rng): ...
@@ -214,21 +237,6 @@ class AlgebraInstance(ABC):
     def eq(self, x, y, tol: float = 0.0) -> bool:
         """Equality within tolerance (exactly, when ``tol`` is 0)."""
         return self.distance(x, y) <= tol
-
-    def int_scale(self, k: int, x):
-        """``k``-fold sum of ``x``; instances override with native scaling."""
-        if k == 0:
-            return self.zero()
-        if k < 0:
-            return self.neg(self.int_scale(-k, x))
-        acc, base = None, x
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.add(acc, base)
-            k >>= 1
-            if k:
-                base = self.add(base, base)
-        return acc
 
     def from_int(self, k: int):
         return self.int_scale(k, self.one())
@@ -294,6 +302,7 @@ class ScaledIntegers(AlgebraInstance):
     kind = "scaled-integers"
     exact = True
     slack = 0.0
+    dtype = object
 
     def __init__(self, r=1):
         r = as_fraction(r)
@@ -302,26 +311,17 @@ class ScaledIntegers(AlgebraInstance):
         self.r = r
         self.is_banach_ring = r == 1
 
-    def add(self, x: int, y: int) -> int:
-        return x + y
-
-    def neg(self, x: int) -> int:
-        return -x
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y
-
     def one(self) -> int:
         return 1
 
     def zero(self) -> int:
         return 0
 
+    def norms(self, x):
+        return self.r * np.abs(x)
+
     def norm(self, x: int) -> Fraction:
         return self.r * abs(x)
-
-    def int_scale(self, k: int, x: int) -> int:
-        return k * x
 
     def random_element(self, rng) -> int:
         return int(rng.integers(-9, 10))

@@ -87,10 +87,12 @@ class EndOperator:
                 out[j] = list(acc.items())
         return EndOperator.from_columns(inner, out)
 
-    def add(self, other: "EndOperator") -> "EndOperator":
+    def add(self, *others: "EndOperator") -> "EndOperator":
+        """Sum with any number of operators, merged in one pass."""
         out: dict[int, list] = {j: list(e) for j, e in self.columns.items()}
-        for j, entries in other.columns.items():
-            out.setdefault(j, []).extend(entries)
+        for other in others:
+            for j, entries in other.columns.items():
+                out.setdefault(j, []).extend(entries)
         return EndOperator.from_columns(self.inner, out)
 
     def entry(self, i: int, j: int):
@@ -101,19 +103,6 @@ class EndOperator:
 
     def column_norm(self, j: int) -> NormValue:
         return sum((self.inner.norm(v) for _, v in self.columns.get(j, ())), start=0)
-
-    def same(self, other: "EndOperator") -> bool:
-        """Exact equality of materialized columns (zero-norm differences)."""
-        cols = set(self.columns) | set(other.columns)
-        for j in cols:
-            a = dict(self.columns.get(j, ()))
-            b = dict(other.columns.get(j, ()))
-            for i in set(a) | set(b):
-                va = a.get(i, self.inner.zero())
-                vb = b.get(i, self.inner.zero())
-                if self.inner.distance(va, vb) != 0:
-                    return False
-        return True
 
 
 def end_norm(op: EndOperator) -> NormValue:
@@ -129,7 +118,9 @@ class CornerIdempotent:
 
     As an operator it is exactly idempotent and its norm equals the norm of
     the inner unit, which is what makes the corner a normed subring with
-    the induced norm.
+    the induced norm: compressing by it collapses ``e*b*e`` to the single
+    entry ``b.entry(i, i)``, with ``end_norm(e*b*e) == inner.norm(b[i,i])``,
+    an isometric copy of the inner instance.
     """
 
     index: int = 0
@@ -139,16 +130,6 @@ class CornerIdempotent:
 
     def norm(self, inner: AlgebraInstance) -> NormValue:
         return end_norm(self.as_operator(inner))
-
-
-def corner_roundtrip(inner: AlgebraInstance, b: EndOperator):
-    """Extract the (0,0) entry of an operator.
-
-    Compressing by the zeroth-entry corner ``e`` collapses ``e*b*e`` to
-    that single entry, with ``end_norm(e*b*e) == inner.norm(b[0,0])``; the
-    corner ring is an isometric copy of the inner instance.
-    """
-    return b.entry(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +167,7 @@ def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None)
         (EndOperator.matrix_unit(inner, k, 0), EndOperator.matrix_unit(inner, 0, k))
         for k in range(n)
     )
-    total = EndOperator.zero(inner)
-    for a_k, b_k in pairs:
-        total = total.add(a_k.compose(e).compose(b_k))
+    total = EndOperator.zero(inner).add(*(a_k.compose(e).compose(b_k) for a_k, b_k in pairs))
     identity = EndOperator.identity(inner, n)
     deviation = _column_deviation(total, identity)
     cert = Certificate(slack=0.0)
@@ -214,23 +193,6 @@ def _column_deviation(a: EndOperator, b: EndOperator) -> NormValue:
 
 # ---------------------------------------------------------------------------
 # the swindle conjugator
-
-
-@dataclass(frozen=True)
-class SwindlePermutation:
-    """The even/odd interleaving bijection from two copies of the naturals.
-
-    The first copy lands on the even indices, the second on the odd ones.
-    """
-
-    def into_first(self, k: int) -> int:
-        return 2 * k
-
-    def into_second(self, k: int) -> int:
-        return 2 * k + 1
-
-    def invert(self, n: int) -> tuple[str, int]:
-        return ("first", n // 2) if n % 2 == 0 else ("second", (n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -271,9 +233,11 @@ def _dyadic_unpair(n: int) -> tuple[int, int]:
     return i, ((m >> i) - 1) // 2
 
 
-def swindle_conjugator(support: int) -> tuple[SwindlePermutation, SwindleReport]:
-    """Build the interleaving bijection and verify the swindle identity.
+def swindle_conjugator(support: int) -> SwindleReport:
+    """Verify the interleaving bijection and the swindle identity.
 
+    The bijection sends ``k`` in the first copy of the naturals to ``2k``
+    and ``k`` in the second copy to ``2k + 1``; ``divmod(n, 2)`` inverts it.
     Exhaustively checks, on all indices below ``support``:
 
     * the even/odd map has no collisions and inverts correctly;
@@ -288,17 +252,17 @@ def swindle_conjugator(support: int) -> tuple[SwindlePermutation, SwindleReport]
     """
     if not 1 <= support <= 2**16:
         raise ConfigError("support must be between 1 and 2**16")
-    v = SwindlePermutation()
 
-    images = {}
+    images = set()
     collisions = 0
     roundtrip_failures = 0
     for k in range(support):
-        for tag, n in (("first", v.into_first(k)), ("second", v.into_second(k))):
+        for copy in (0, 1):
+            n = 2 * k + copy
             if n in images:
                 collisions += 1
-            images[n] = (tag, k)
-            if v.invert(n) != (tag, k):
+            images.add(n)
+            if divmod(n, 2) != (k, copy):
                 roundtrip_failures += 1
 
     inner = ScaledIntegers(1)
@@ -310,10 +274,10 @@ def swindle_conjugator(support: int) -> tuple[SwindlePermutation, SwindleReport]
         return {_dyadic_pair(i, r): val for r, val in op.columns.get(j, ())}
 
     def conjugated_column(col: int) -> dict[int, int]:
-        tag, k = v.invert(col)
-        if tag == "first":
-            return {v.into_first(r): val for r, val in x.columns.get(k, ())}
-        return {v.into_second(r): val for r, val in t_column(y, k).items()}
+        k, copy = divmod(col, 2)
+        if copy == 0:
+            return {2 * r: val for r, val in x.columns.get(k, ())}
+        return {2 * r + 1: val for r, val in t_column(y, k).items()}
 
     def interleaved_column(col: int) -> dict[int, int]:
         # blocks under the shifted pairing: block 0 is x, blocks >= 1 are y
@@ -327,11 +291,10 @@ def swindle_conjugator(support: int) -> tuple[SwindlePermutation, SwindleReport]
         if conjugated_column(col) != interleaved_column(col):
             conjugation_mismatches += 1
 
-    report = SwindleReport(
+    return SwindleReport(
         support=support,
         collisions=collisions,
         roundtrip_failures=roundtrip_failures,
         conjugation_mismatches=conjugation_mismatches,
         checked_columns=support,
     )
-    return v, report

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .calculus import CertifiedUnit, certify_idempotent, conjugating_unit
+from .calculus import CertifiedUnit, certify_idempotent, certify_unit, conjugating_unit
 from .core import AlgebraInstance
 from .errors import PathError
 from .instances import COMPLEX, MatrixAlgebra
@@ -127,12 +127,8 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
         u_inv = inst.mul(unit.u_inv, u_inv)
         seg_gaps.append(float(inst.distance(ce.e, cf.e)))
 
-    e0, e1 = path.at(0.0), path.at(1.0)
-    one = inst.one()
     cert = inst.certificate()
-    cert.add("intertwine", float(inst.distance(inst.mul(e0, u), inst.mul(u, e1))), tol)
-    cert.add("residual-left", float(inst.distance(inst.mul(u, u_inv), one)), tol)
-    cert.add("residual-right", float(inst.distance(inst.mul(u_inv, u), one)), tol)
+    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, u_inv, tol, intertwine_rhs=tol)
     threshold = segment_threshold(max_norm)
     cert.add("segments", len(segments), 2 * math.ceil(L / threshold) + 2)
     for k, gap in enumerate(seg_gaps):

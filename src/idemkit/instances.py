@@ -1,11 +1,17 @@
 """Concrete normed-ring instances and the towers used by colimit experiments.
 
-Matrix algebras over the complex scalars are stored as numpy arrays and use
-vectorized kernels; over any other inner instance they fall back to tuples
-of tuples with entrywise arithmetic.  The default matrix norm is the
-max-column-l1 norm, which realizes matrices as endomorphisms of finite l1
-powers and is exactly computable; the spectral norm is available for
-complex scalars only.
+Every element is one numpy array whose shape is the container's own axes
+followed by the inner instance's shape: ``(n, n) + inner.shape`` for
+matrices, ``(points,) + inner.shape`` for sampled functions and
+``(truncation,) + inner.shape`` for sequences.  The dtype is complex128 over
+the complex scalars and ``object`` (Python ints, ``Fraction`` norms) over
+the scaled integers.  Operations accept extra leading batch axes, so a
+container can be another container's inner instance: the products of all
+blocks of a nested matrix are one batched inner call.  The default matrix
+norm is the max-column-l1 norm, which realizes matrices as endomorphisms of
+finite l1 powers and is exactly computable; the spectral norm is available
+for complex scalars only.  A sup-norm sequence (descriptor mode ``"linf"``)
+is the sampled function algebra on ``range(truncation)``.
 
 Infinite spaces are represented only through finite grids; nothing in this
 module claims to bound a true supremum over an infinite domain.
@@ -13,6 +19,7 @@ module claims to bound a true supremum over an infinite domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -29,26 +36,17 @@ class ComplexScalars(AlgebraInstance):
     kind = "complex"
     exact = False
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
     def one(self):
         return complex(1)
 
     def zero(self):
         return complex(0)
 
+    def norms(self, x):
+        return np.abs(x)
+
     def norm(self, x) -> float:
         return abs(x)
-
-    def int_scale(self, k, x):
-        return k * x
 
     def try_inverse(self, x):
         if x == 0:
@@ -68,11 +66,38 @@ class ComplexScalars(AlgebraInstance):
 COMPLEX = ComplexScalars()
 
 
-def _is_complex(instance: AlgebraInstance) -> bool:
-    return isinstance(instance, ComplexScalars)
+def over_complex(instance) -> bool:
+    """Whether ``instance`` is a container whose entries are complex scalars."""
+    return isinstance(getattr(instance, "inner", None), ComplexScalars)
 
 
-class MatrixAlgebra(AlgebraInstance):
+class Container(AlgebraInstance):
+    """Arrays of inner-instance entries along the container's own axes."""
+
+    def __init__(self, inner: AlgebraInstance, axes: tuple):
+        self.inner = inner
+        self.axes = axes
+        self.shape = axes + inner.shape
+        self.dtype = inner.dtype
+        self.exact = inner.exact
+        self.slack = inner.slack
+
+    def _entry_mul(self, x, y):
+        """Entrywise products; scalar entries multiply in numpy directly."""
+        return self.inner.mul(x, y) if self.inner.shape else x * y
+
+    def zero(self):
+        return np.full(self.shape, self.inner.zero(), dtype=self.dtype)
+
+    def random_element(self, rng):
+        if isinstance(self.inner, ComplexScalars):
+            return rng.standard_normal(self.axes) + 1j * rng.standard_normal(self.axes)
+        # entry by entry in row-major order: the draws of the inner generator
+        entries = [self.inner.random_element(rng) for _ in range(math.prod(self.axes))]
+        return np.array(entries, dtype=self.dtype).reshape(self.shape)
+
+
+class MatrixAlgebra(Container):
     """Square matrices over an inner instance.
 
     ``norm_kind`` is ``"col-l1"`` (max over columns of the column sum of
@@ -87,111 +112,43 @@ class MatrixAlgebra(AlgebraInstance):
             raise ConfigError("matrix size must be positive")
         if norm_kind not in ("col-l1", "spectral"):
             raise ConfigError(f"unknown matrix norm {norm_kind!r}")
-        if norm_kind == "spectral" and not _is_complex(inner):
+        if norm_kind == "spectral" and not isinstance(inner, ComplexScalars):
             raise ConfigError("spectral norm requires complex scalars")
-        self.inner = inner
+        super().__init__(inner, (n, n))
         self.n = n
         self.norm_kind = norm_kind
-        self.numeric = _is_complex(inner)
-        self.exact = inner.exact
-        self.slack = inner.slack
-
-    # numpy path for complex scalars, tuple-of-tuples otherwise
-
-    def add(self, x, y):
-        if self.numeric:
-            return x + y
-        a = self.inner.add
-        return tuple(tuple(a(x[i][j], y[i][j]) for j in range(self.n)) for i in range(self.n))
-
-    def neg(self, x):
-        if self.numeric:
-            return -x
-        g = self.inner.neg
-        return tuple(tuple(g(v) for v in row) for row in x)
 
     def mul(self, x, y):
-        if self.numeric:
+        if not self.inner.shape:
             return x @ y
-        add, mul, zero = self.inner.add, self.inner.mul, self.inner.zero
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero()
-                for k in range(n):
-                    acc = add(acc, mul(x[i][k], y[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        # every block product x[i, k] * y[k, j] in one batched inner call,
+        # then the sum over k in order (numpy's einsum and sum reorder it)
+        d = len(self.inner.shape)
+        products = self.inner.mul(np.expand_dims(x, -d - 1), np.expand_dims(y, -d - 3))
+        return functools.reduce(self.inner.add, np.moveaxis(products, -d - 2, 0))
 
     def one(self):
-        if self.numeric:
-            return np.eye(self.n, dtype=complex)
-        o, z = self.inner.one, self.inner.zero
-        return tuple(tuple(o() if i == j else z() for j in range(self.n)) for i in range(self.n))
+        out = self.zero()
+        out.reshape((self.n * self.n,) + self.inner.shape)[:: self.n + 1] = self.inner.one()
+        return out
 
-    def zero(self):
-        if self.numeric:
-            return np.zeros((self.n, self.n), dtype=complex)
-        z = self.inner.zero
-        return tuple(tuple(z() for _ in range(self.n)) for _ in range(self.n))
-
-    def int_scale(self, k, x):
-        if self.numeric:
-            return k * x
-        s = self.inner.int_scale
-        return tuple(tuple(s(k, v) for v in row) for row in x)
-
-    def norm(self, x) -> NormValue:
+    def norms(self, x):
         if self.norm_kind == "spectral":
-            return float(np.linalg.norm(np.asarray(x), 2))
-        if self.numeric:
-            return float(np.abs(x).sum(axis=0).max())
-        best: NormValue = 0
-        for j in range(self.n):
-            col = sum((self.inner.norm(x[i][j]) for i in range(self.n)), start=0)
-            if col > best:
-                best = col
-        return best
+            return np.linalg.norm(x, 2, axis=(-2, -1))
+        return self.inner.norms(x).sum(axis=-2).max(axis=-1)
 
     def unit_matrix(self, i: int, j: int, value=None):
         """Matrix with a single nonzero entry (the inner unit by default)."""
-        if value is None:
-            value = self.inner.one()
-        if self.numeric:
-            m = np.zeros((self.n, self.n), dtype=complex)
-            m[i, j] = value
-            return m
-        z = self.inner.zero
-        return tuple(
-            tuple(value if (r, c) == (i, j) else z() for c in range(self.n))
-            for r in range(self.n)
-        )
+        m = self.zero()
+        m[i, j] = self.inner.one() if value is None else value
+        return m
 
     def try_inverse(self, x):
-        if not self.numeric:
+        if not over_complex(self):
             raise NotImplementedError("direct inverse only over complex scalars")
         return np.linalg.inv(x)
 
-    def trace(self, x):
-        if self.numeric:
-            return complex(np.trace(x))
-        acc = self.inner.zero()
-        for i in range(self.n):
-            acc = self.inner.add(acc, x[i][i])
-        return acc
-
-    def random_element(self, rng):
-        if self.numeric:
-            return rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-        r = self.inner.random_element
-        return tuple(tuple(r(rng) for _ in range(self.n)) for _ in range(self.n))
-
     def serialize_element(self, x):
-        if self.numeric:
-            return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(x)]
         return [[self.inner.serialize_element(v) for v in row] for row in x]
 
     def describe(self) -> dict:
@@ -203,7 +160,7 @@ class MatrixAlgebra(AlgebraInstance):
         }
 
 
-class SampledFunctionAlgebra(AlgebraInstance):
+class SampledFunctionAlgebra(Container):
     """Functions on a finite grid with values in an inner instance.
 
     Pointwise operations, sup norm over the grid.  This is the honest
@@ -217,72 +174,36 @@ class SampledFunctionAlgebra(AlgebraInstance):
         if len(grid) == 0:
             raise ConfigError("grid must be nonempty")
         self.grid = tuple(grid)
-        self.inner = inner
-        self.numeric = _is_complex(inner)
-        self.exact = inner.exact
-        self.slack = inner.slack
+        super().__init__(inner, (len(self.grid),))
 
     @property
     def size(self) -> int:
         return len(self.grid)
 
-    def add(self, x, y):
-        if self.numeric:
-            return x + y
-        return tuple(self.inner.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        if self.numeric:
-            return -x
-        return tuple(self.inner.neg(a) for a in x)
-
     def mul(self, x, y):
-        if self.numeric:
-            return x * y
-        return tuple(self.inner.mul(a, b) for a, b in zip(x, y))
+        return self._entry_mul(x, y)
 
     def one(self):
-        if self.numeric:
-            return np.ones(self.size, dtype=complex)
-        return tuple(self.inner.one() for _ in self.grid)
+        return np.full(self.shape, self.inner.one(), dtype=self.dtype)
 
-    def zero(self):
-        if self.numeric:
-            return np.zeros(self.size, dtype=complex)
-        return tuple(self.inner.zero() for _ in self.grid)
-
-    def int_scale(self, k, x):
-        if self.numeric:
-            return k * x
-        return tuple(self.inner.int_scale(k, a) for a in x)
-
-    def norm(self, x) -> NormValue:
-        if self.numeric:
-            return float(np.abs(x).max())
-        return max(self.inner.norm(a) for a in x)
+    def norms(self, x):
+        return self.inner.norms(x).max(axis=-1)
 
     def indicator(self, points):
         """Indicator function of a subset of grid points (an idempotent)."""
         chosen = set(points)
-        if self.numeric:
-            return np.array([1.0 + 0j if p in chosen else 0j for p in self.grid])
-        return tuple(self.inner.one() if p in chosen else self.inner.zero() for p in self.grid)
+        out = self.zero()
+        out[np.array([p in chosen for p in self.grid])] = self.inner.one()
+        return out
 
     def try_inverse(self, x):
-        if not self.numeric:
+        if not over_complex(self):
             raise NotImplementedError("direct inverse only over complex scalars")
         if np.any(x == 0):
             raise IdemkitError("function vanishes somewhere; not invertible")
         return 1.0 / x
 
-    def random_element(self, rng):
-        if self.numeric:
-            return rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
-        return tuple(self.inner.random_element(rng) for _ in self.grid)
-
     def serialize_element(self, x):
-        if self.numeric:
-            return [[float(v.real), float(v.imag)] for v in np.asarray(x)]
         return [self.inner.serialize_element(v) for v in x]
 
     def describe(self) -> dict:
@@ -293,96 +214,53 @@ class SampledFunctionAlgebra(AlgebraInstance):
         }
 
 
-class SequenceAlgebra(AlgebraInstance):
-    """Truncated sequence algebras over an inner instance.
+class SequenceAlgebra(Container):
+    """Truncated l1 sequence algebras over an inner instance.
 
-    Mode ``"linf"``: sup norm with the coordinatewise product (unit is the
-    all-ones sequence).  Mode ``"l1"``: sum norm with the truncated
-    convolution product (unit is the delta at index 0); coordinatewise
-    multiplication would make the all-ones unit too large for a normed
-    ring, while convolution keeps the norm submultiplicative and the unit
-    norm equal to the inner unit's.
+    Sum norm with the truncated convolution product (unit is the delta at
+    index 0); coordinatewise multiplication would make the all-ones unit
+    too large for a normed ring, while convolution keeps the norm
+    submultiplicative and the unit norm equal to the inner unit's.  The
+    sup-norm, coordinatewise variant is ``SampledFunctionAlgebra`` on
+    ``range(truncation)``; only mode ``"l1"`` is accepted here.
     """
 
     kind = "sequence"
 
     def __init__(self, mode: str, truncation: int, inner: AlgebraInstance):
-        if mode not in ("l1", "linf"):
-            raise ConfigError(f"unknown sequence mode {mode!r}")
+        if mode != "l1":
+            raise ConfigError(
+                f"unknown sequence mode {mode!r}; sup-norm sequences are "
+                "SampledFunctionAlgebra(range(truncation), inner)"
+            )
         if truncation < 1:
             raise ConfigError("truncation must be positive")
         self.mode = mode
         self.truncation = truncation
-        self.inner = inner
-        self.numeric = _is_complex(inner)
-        self.exact = inner.exact
-        self.slack = inner.slack
-
-    def add(self, x, y):
-        if self.numeric:
-            return x + y
-        return tuple(self.inner.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        if self.numeric:
-            return -x
-        return tuple(self.inner.neg(a) for a in x)
+        super().__init__(inner, (truncation,))
 
     def mul(self, x, y):
-        if self.mode == "linf":
-            if self.numeric:
-                return x * y
-            return tuple(self.inner.mul(a, b) for a, b in zip(x, y))
-        # l1: truncated convolution, dropping degrees >= truncation
+        # truncated convolution, dropping degrees >= truncation: degree k
+        # sums x[i] * y[k - i] over i = 0..k in order, one shifted product
+        # of whole sequences per i; the operands are broadcast first, since
+        # moving the sequence axis to the front would misalign batch axes
+        axis = -1 - len(self.inner.shape)
+        xs, ys = (np.moveaxis(v, axis, 0) for v in np.broadcast_arrays(x, y))
         t = self.truncation
-        if self.numeric:
-            return np.convolve(x, y)[:t]
-        add, mul, zero = self.inner.add, self.inner.mul, self.inner.zero
-        out = []
-        for k in range(t):
-            acc = zero()
-            for i in range(k + 1):
-                acc = add(acc, mul(x[i], y[k - i]))
-            out.append(acc)
-        return tuple(out)
+        out = np.full(xs.shape, self.inner.zero(), dtype=self.dtype)
+        for i in range(t):
+            out[i:] = self.inner.add(out[i:], self._entry_mul(xs[i : i + 1], ys[: t - i]))
+        return np.moveaxis(out, 0, axis)
 
     def one(self):
-        t = self.truncation
-        if self.mode == "linf":
-            if self.numeric:
-                return np.ones(t, dtype=complex)
-            return tuple(self.inner.one() for _ in range(t))
-        if self.numeric:
-            u = np.zeros(t, dtype=complex)
-            u[0] = 1
-            return u
-        return tuple(self.inner.one() if k == 0 else self.inner.zero() for k in range(t))
+        out = self.zero()
+        out[0] = self.inner.one()
+        return out
 
-    def zero(self):
-        if self.numeric:
-            return np.zeros(self.truncation, dtype=complex)
-        return tuple(self.inner.zero() for _ in range(self.truncation))
-
-    def int_scale(self, k, x):
-        if self.numeric:
-            return k * x
-        return tuple(self.inner.int_scale(k, a) for a in x)
-
-    def norm(self, x) -> NormValue:
-        if self.numeric:
-            mags = np.abs(x)
-            return float(mags.sum()) if self.mode == "l1" else float(mags.max())
-        norms = [self.inner.norm(a) for a in x]
-        return sum(norms, start=0) if self.mode == "l1" else max(norms)
-
-    def random_element(self, rng):
-        if self.numeric:
-            return rng.standard_normal(self.truncation) + 1j * rng.standard_normal(self.truncation)
-        return tuple(self.inner.random_element(rng) for _ in range(self.truncation))
+    def norms(self, x):
+        return self.inner.norms(x).sum(axis=-1)
 
     def serialize_element(self, x):
-        if self.numeric:
-            return [[float(v.real), float(v.imag)] for v in np.asarray(x)]
         return [self.inner.serialize_element(v) for v in x]
 
     def describe(self) -> dict:
@@ -486,8 +364,8 @@ _MAX_GENERATOR_RETRIES = 64
 
 def random_unit(instance: MatrixAlgebra, rng, spread: float = 1.0):
     """Random well-conditioned invertible matrix (complex scalars only)."""
-    if not instance.numeric:
-        raise ConfigError("random units need complex scalars")
+    if not (isinstance(instance, MatrixAlgebra) and over_complex(instance)):
+        raise ConfigError("random units need complex matrices")
     n = instance.n
     for _ in range(_MAX_GENERATOR_RETRIES):
         s = np.eye(n, dtype=complex) + spread * (
@@ -500,8 +378,8 @@ def random_unit(instance: MatrixAlgebra, rng, spread: float = 1.0):
 
 def conjugated_projector(instance: MatrixAlgebra, rank: int, rng, spread: float = 1.0):
     """Random idempotent of the given rank: a conjugated 0/1 diagonal."""
-    if not instance.numeric:
-        raise ConfigError("projector generator needs complex scalars")
+    if not (isinstance(instance, MatrixAlgebra) and over_complex(instance)):
+        raise ConfigError("projector generator needs complex matrices")
     n = instance.n
     if not 0 <= rank <= n:
         raise ConfigError("rank out of range")
@@ -554,21 +432,26 @@ def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
 # ---------------------------------------------------------------------------
 # descriptors
 
-_TOWER_KINDS = ("uhf", "cantor")
+TOWER_KINDS = ("uhf", "cantor")
+
+#: entries of the largest element a descriptor may ask for: a 4096 x 4096
+#: matrix, the size of a depth-12 uhf tower's top level
+MAX_ELEMENT_ENTRIES = 4096**2
+
+_REQUIRED = object()
 
 
 def parse_instance(desc: dict) -> AlgebraInstance:
     """Build an instance from a JSON descriptor.
 
     Accepts the flat form ``{"kind": "matrix", "n": 4, ...}`` and the
-    enveloped form ``{"kind": "matrix", "params": {"n": 4, ...}}``.
+    enveloped form ``{"kind": "matrix", "params": {"n": 4, ...}}``.  Field
+    types are checked (booleans are not integers), and instances whose
+    elements would exceed ``MAX_ELEMENT_ENTRIES`` entries are refused
+    before anything is allocated.  ``{"kind": "sequence", "mode": "linf"}``
+    is the sampled function algebra on ``range(truncation)``.
     """
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"instance descriptor needs a 'kind': {desc!r}")
-    d = dict(desc)
-    kind = d.pop("kind")
-    if set(d) == {"params"}:
-        d = dict(d["params"])
+    kind, d = _unwrap("instance", desc)
     if kind == "complex":
         _reject_extras(kind, d, ())
         return COMPLEX
@@ -577,40 +460,70 @@ def parse_instance(desc: dict) -> AlgebraInstance:
         return ScaledIntegers(as_fraction(d.get("r", 1)))
     if kind == "matrix":
         _reject_extras(kind, d, ("n", "norm", "inner"))
-        inner = parse_instance(d.get("inner", {"kind": "complex"}))
-        return MatrixAlgebra(inner, int(d["n"]), d.get("norm", "col-l1"))
+        n = _field(kind, d, "n", int)
+        inner = _parse_inner(kind, d, n * n)
+        return MatrixAlgebra(inner, n, _field(kind, d, "norm", str, "col-l1"))
     if kind == "functions":
         _reject_extras(kind, d, ("points", "inner"))
-        points = d.get("points", 2)
-        grid = tuple(points) if isinstance(points, (list, tuple)) else tuple(range(int(points)))
-        return SampledFunctionAlgebra(grid, parse_instance(d.get("inner", {"kind": "complex"})))
+        points = _field(kind, d, "points", (int, list), 2)
+        inner = _parse_inner(kind, d, points if isinstance(points, int) else len(points))
+        return SampledFunctionAlgebra(points if isinstance(points, list) else range(points), inner)
     if kind == "sequence":
         _reject_extras(kind, d, ("mode", "truncation", "inner"))
-        return SequenceAlgebra(
-            d.get("mode", "l1"),
-            int(d.get("truncation", 8)),
-            parse_instance(d.get("inner", {"kind": "complex"})),
-        )
-    if kind in _TOWER_KINDS:
+        mode = _field(kind, d, "mode", str, "l1")
+        truncation = _field(kind, d, "truncation", int, 8)
+        inner = _parse_inner(kind, d, truncation)
+        if mode == "linf":
+            return SampledFunctionAlgebra(range(truncation), inner)
+        return SequenceAlgebra(mode, truncation, inner)
+    if kind in TOWER_KINDS:
         raise ConfigError(f"{kind!r} is a tower descriptor; use parse_tower")
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
 def parse_tower(desc: dict) -> Tower:
     """Build a tower from a JSON descriptor like ``{"kind": "uhf", "depth": 6}``."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"tower descriptor needs a 'kind': {desc!r}")
-    d = dict(desc)
-    kind = d.pop("kind")
-    if set(d) == {"params"}:
-        d = dict(d["params"])
+    kind, d = _unwrap("tower", desc)
     _reject_extras(kind, d, ("depth",))
-    depth = int(d.get("depth", 4))
+    depth = _field(kind, d, "depth", int, 4)
     if kind == "uhf":
         return make_uhf_tower(depth)
     if kind == "cantor":
         return make_cantor_tower(depth)
     raise ConfigError(f"unknown tower kind {kind!r}")
+
+
+def _unwrap(what: str, desc) -> tuple:
+    if not isinstance(desc, dict) or "kind" not in desc:
+        raise ConfigError(f"{what} descriptor needs a 'kind': {desc!r}")
+    d = dict(desc)
+    kind = d.pop("kind")
+    if set(d) == {"params"}:
+        if not isinstance(d["params"], dict):
+            raise ConfigError(f"{what} descriptor 'params' must be an object: {d['params']!r}")
+        d = dict(d["params"])
+    return kind, d
+
+
+def _field(kind: str, d: dict, name: str, types, default=_REQUIRED):
+    if name not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"{kind!r} descriptor needs the field {name!r}")
+        return default
+    value = d[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{kind!r} field {name!r} has the wrong type: {value!r}")
+    return value
+
+
+def _parse_inner(kind: str, d: dict, entries: int) -> AlgebraInstance:
+    """The inner instance, once the element size it implies is within the cap."""
+    inner = parse_instance(_field(kind, d, "inner", dict, {"kind": "complex"}))
+    if entries * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
+        raise ConfigError(
+            f"{kind!r} elements would have more than {MAX_ELEMENT_ENTRIES} entries"
+        )
+    return inner
 
 
 def _reject_extras(kind: str, d: dict, allowed: tuple) -> None:
@@ -636,5 +549,5 @@ def registered_instances() -> list[AlgebraInstance]:
         MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
         SampledFunctionAlgebra(cantor_grid(2), COMPLEX),
         SequenceAlgebra("l1", 6, COMPLEX),
-        SequenceAlgebra("linf", 6, COMPLEX),
+        SampledFunctionAlgebra(range(6), COMPLEX),
     ]

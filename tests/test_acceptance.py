@@ -201,7 +201,7 @@ def test_criterion_09_deloop_shadows():
     assert ik.end_norm(corner.as_operator(ik.COMPLEX)) == 1.0
     for n in range(1, 65):
         assert ik.finite_collapse_certificate(n).valid
-    _, swindle = ik.swindle_conjugator(4096)
+    swindle = ik.swindle_conjugator(4096)
     assert swindle.valid
     assert swindle.collisions == 0
     assert swindle.checked_columns == 4096

@@ -9,6 +9,7 @@ import pytest
 from idemkit.calculus import (
     catalan,
     certify_idempotent,
+    certify_unit,
     conjugating_unit,
     conjugation_bound,
     corrected_coefficient,
@@ -21,7 +22,7 @@ from idemkit.calculus import (
     quasi_inverse_mod_ideal,
     scalar_lift_rational,
 )
-from idemkit.errors import PreconditionError
+from idemkit.errors import PreconditionError, SeriesTruncationError
 from idemkit.instances import (
     COMPLEX,
     MatrixAlgebra,
@@ -336,3 +337,26 @@ def test_quasi_inverse_witness_too_far():
 
 def test_conjugation_bound_formula():
     assert conjugation_bound(1.0, 0.1) == pytest.approx(0.21)
+
+
+def test_series_coefficient_overflow_is_a_truncation_error():
+    # the corrected series needs a coefficient past float range before the
+    # tail bound can reach 1e-300
+    a = complex(h_bound(0.09))
+    with pytest.raises(SeriesTruncationError):
+        lift_idempotent(COMPLEX, a, "corrected", 1e-300)
+
+
+def test_certify_unit_records_intertwine_then_residuals():
+    u = _rotation(0.3)
+    e = np.diag([1, 0]).astype(complex)
+    f = u.conj().T @ e @ u
+    cert = M2.certificate()
+    certify_unit(M2, cert, e, f, u, u.conj().T, 1e-9)
+    assert cert.names() == ["intertwine", "residual-left", "residual-right"]
+    assert cert.entry("intertwine").rhs == 1e-9 * (1 + M2.norm(e) + M2.norm(f)) + M2.slack
+    assert cert.valid
+    only = M2.certificate()
+    certify_unit(M2, only, e, f, u, None, 1e-9, intertwine_rhs=0.5)
+    assert only.names() == ["intertwine"]
+    assert only.entry("intertwine").rhs == 0.5 + M2.slack

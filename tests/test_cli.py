@@ -1,8 +1,11 @@
 """CLI configs, exit codes, report formats and reproducibility."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idemkit.cli import ExperimentConfig, build_report, main, run
 from idemkit.errors import ConfigError
@@ -153,3 +156,77 @@ def test_build_report_contains_config_echo():
     report = build_report(ExperimentConfig(command="swindle-check", support=32))
     assert report["config"]["support"] == 32
     assert "out" not in report["config"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm-audit", "--instance", '{"kind":"matrix","n":"abc"}'],
+        ["norm-audit", "--instance", '{"kind":"matrix"}'],
+        ["norm-audit", "--instance", '{"kind":"matrix","n":100000}'],
+        ["k0", "--instance", "[1, 2]"],
+        ["lift", "--tol", "1e-300"],
+        ["lift", "--tol", "0"],
+        ["transfer", "--trials", "-1"],
+    ],
+)
+def test_bad_input_exits_one_with_a_message(args, capsys):
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("idemkit: ")
+
+
+_FIELDS = ("n", "r", "norm", "points", "mode", "truncation", "depth")
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.floats(-1, 3),
+    st.sampled_from(["abc", "1/2", "1/0", "spectral", "col-l1", "l1", "linf"]),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+_KINDS = st.sampled_from(
+    ["complex", "scaled-integers", "matrix", "functions", "sequence", "uhf", "cantor", "mystery"]
+)
+_DESCRIPTORS = st.recursive(
+    st.fixed_dictionaries({"kind": _KINDS}, optional={f: _VALUES for f in _FIELDS}),
+    lambda inner: st.fixed_dictionaries(
+        {"kind": _KINDS}, optional={**{f: _VALUES for f in _FIELDS}, "inner": inner, "params": inner}
+    ),
+    max_leaves=3,
+)
+_SIZES = st.integers(1, 3)
+_WELL_FORMED = st.recursive(
+    st.one_of(
+        st.just({"kind": "complex"}),
+        st.builds(lambda r: {"kind": "scaled-integers", "r": r}, st.sampled_from([1, 2, "1/2"])),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda n, i: {"kind": "matrix", "n": n, "inner": i}, _SIZES, inner),
+        st.builds(lambda p, i: {"kind": "functions", "points": p, "inner": i}, _SIZES, inner),
+        st.builds(
+            lambda m, t, i: {"kind": "sequence", "mode": m, "truncation": t, "inner": i},
+            st.sampled_from(["l1", "linf"]),
+            _SIZES,
+            inner,
+        ),
+    ),
+    max_leaves=3,
+)
+_COMMANDS = st.sampled_from(
+    [
+        ["norm-audit", "--samples", "1", "--instance"],
+        ["k0", "--instance"],
+        ["lift", "--instance"],
+        ["collapse", "--n", "2", "--instance"],
+        ["transfer", "--trials", "1", "--tower"],
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=_COMMANDS, desc=st.one_of(_DESCRIPTORS, _WELL_FORMED))
+def test_descriptors_through_main_end_in_an_exit_code(command, desc):
+    """Small descriptors of every shape: an exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "report.out")
+        assert main([*command, json.dumps(desc), "--out", out]) in (0, 1, 2)

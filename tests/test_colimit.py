@@ -170,6 +170,19 @@ def test_cantor_key_reduces_pushed_vectors():
     assert level_class_key(CANTOR5, 5, pushed) == level_class_key(CANTOR5, 2, ind)
 
 
+def test_cantor_key_matches_the_scalar_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        level = int(rng.integers(0, 6))
+        base = rng.integers(0, 2, 2 ** int(rng.integers(0, level + 1)))
+        e = np.repeat(base, 2**level // base.size).astype(complex)
+        bits = tuple(int(round(v.real)) for v in e)
+        while len(bits) > 1 and bits[::2] == bits[1::2]:
+            bits = bits[::2]
+        key = level_class_key(CANTOR5, level, e)
+        assert key == bits and all(type(b) is int for b in key)
+
+
 def test_uhf_key_stable_under_pushing():
     inst = UHF4.levels[2]
     e = conjugated_projector(inst, 3, np.random.default_rng(2), spread=0.4)

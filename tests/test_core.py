@@ -175,7 +175,7 @@ def test_element_wrapper_arithmetic():
 
 def test_int_scale_matches_repeated_addition():
     inst = MatrixAlgebra(ScaledIntegers(1), 2)
-    x = ((1, 2), (3, 4))
-    assert inst.int_scale(5, x) == ((5, 10), (15, 20))
-    assert inst.int_scale(0, x) == inst.zero()
-    assert inst.int_scale(-2, x) == ((-2, -4), (-6, -8))
+    x = np.array([[1, 2], [3, 4]], dtype=object)
+    assert inst.int_scale(5, x).tolist() == [[5, 10], [15, 20]]
+    assert np.array_equal(inst.int_scale(0, x), inst.zero())
+    assert inst.int_scale(-2, x).tolist() == [[-2, -4], [-6, -8]]

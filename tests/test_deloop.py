@@ -7,7 +7,6 @@ from idemkit.core import ScaledIntegers
 from idemkit.deloop import (
     CornerIdempotent,
     EndOperator,
-    corner_roundtrip,
     end_norm,
     finite_collapse_certificate,
     swindle_conjugator,
@@ -59,19 +58,19 @@ def test_zero_entries_are_dropped():
 def test_corner_is_idempotent_with_unit_norm():
     e = CornerIdempotent(0)
     op = e.as_operator(COMPLEX)
-    assert op.compose(op).same(op)
+    assert op.compose(op).columns == op.columns
     assert e.norm(COMPLEX) == 1.0
     assert CornerIdempotent(0).norm(ScaledIntegers(1)) == 1
 
 
 def test_corner_roundtrip_examples():
-    assert corner_roundtrip(COMPLEX, EndOperator.identity(COMPLEX, 5)) == 1
-    assert corner_roundtrip(COMPLEX, EndOperator.zero(COMPLEX)) == 0
+    assert EndOperator.identity(COMPLEX, 5).entry(0, 0) == 1
+    assert EndOperator.zero(COMPLEX).entry(0, 0) == 0
     a = 2 - 1j
     b = EndOperator.from_columns(
         COMPLEX, {0: ((0, a), (3, 5 + 0j)), 2: ((1, 7 + 0j),)}
     )
-    assert corner_roundtrip(COMPLEX, b) == a
+    assert b.entry(0, 0) == a
     e = CornerIdempotent(0).as_operator(COMPLEX)
     compressed = e.compose(b).compose(e)
     assert end_norm(compressed) == pytest.approx(abs(a))
@@ -98,7 +97,7 @@ def test_collapse_size_three_explicit_pairs():
     e = CornerIdempotent(0).as_operator(COMPLEX)
     for a_k, b_k in cc.pairs:
         total = total.add(a_k.compose(e).compose(b_k))
-    assert total.same(EndOperator.identity(COMPLEX, 3))
+    assert total.columns == EndOperator.identity(COMPLEX, 3).columns
 
 
 def test_collapse_exact_up_to_sixty_four():
@@ -122,17 +121,8 @@ def test_collapse_rejects_bad_size():
 # the swindle
 
 
-def test_swindle_basis_vector_slots():
-    perm, _ = swindle_conjugator(4)
-    assert perm.into_first(0) == 0
-    assert perm.into_second(0) == 1
-    assert perm.into_second(5) == 11
-    assert perm.invert(0) == ("first", 0)
-    assert perm.invert(11) == ("second", 5)
-
-
 def test_swindle_report_valid_at_moderate_support():
-    _, report = swindle_conjugator(512)
+    report = swindle_conjugator(512)
     assert report.valid
     assert report.collisions == 0
     assert report.roundtrip_failures == 0
@@ -148,6 +138,6 @@ def test_swindle_support_bounds():
 
 
 def test_swindle_report_serializes():
-    _, report = swindle_conjugator(16)
+    report = swindle_conjugator(16)
     blob = report.to_json()
     assert blob["valid"] and blob["support"] == 16

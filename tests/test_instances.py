@@ -9,6 +9,7 @@ from idemkit.core import GROUP_AXIOM_PREFIXES, ScaledIntegers, check_norm_axioms
 from idemkit.errors import ConfigError
 from idemkit.instances import (
     COMPLEX,
+    MAX_ELEMENT_ENTRIES,
     MatrixAlgebra,
     SampledFunctionAlgebra,
     SequenceAlgebra,
@@ -57,11 +58,11 @@ def test_matrix_submultiplicativity_random_pairs():
 
 def test_generic_matrix_path_agrees_with_numeric_on_integers():
     exact = MatrixAlgebra(ScaledIntegers(1), 2)
-    x = ((1, 2), (3, -4))
-    y = ((0, 1), (1, 0))
-    assert exact.mul(x, y) == ((2, 1), (-4, 3))
+    x = np.array([[1, 2], [3, -4]], dtype=object)
+    y = np.array([[0, 1], [1, 0]], dtype=object)
+    assert exact.mul(x, y).tolist() == [[2, 1], [-4, 3]]
     assert exact.norm(x) == 6  # max column sum: |2| + |-4|
-    assert exact.add(x, exact.neg(x)) == exact.zero()
+    assert np.array_equal(exact.add(x, exact.neg(x)), exact.zero())
 
 
 def test_spectral_norm_requires_complex():
@@ -77,6 +78,49 @@ def test_nested_matrix_algebra():
     one = outer.one()
     assert outer.norm(one) == 1.0
     assert outer.distance(outer.mul(one, one), one) == 0.0
+
+
+def test_nested_matrix_product_is_the_blockwise_product():
+    inner = MatrixAlgebra(COMPLEX, 2)
+    outer = MatrixAlgebra(inner, 3)
+    rng = np.random.default_rng(4)
+    x, y = outer.random_element(rng), outer.random_element(rng)
+    assert x.shape == (3, 3, 2, 2)
+    expected = outer.zero()
+    for i in range(3):
+        for j in range(3):
+            acc = inner.mul(x[i, 0], y[0, j])
+            for k in (1, 2):
+                acc = inner.add(acc, inner.mul(x[i, k], y[k, j]))
+            expected[i, j] = acc
+    assert np.array_equal(outer.mul(x, y), expected)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        MatrixAlgebra(COMPLEX, 3),
+        MatrixAlgebra(ScaledIntegers(2), 2),
+        MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
+        MatrixAlgebra(SequenceAlgebra("l1", 3, COMPLEX), 2),
+        SampledFunctionAlgebra(range(3), MatrixAlgebra(COMPLEX, 2)),
+        SequenceAlgebra("l1", 4, MatrixAlgebra(ScaledIntegers(1), 2)),
+        SequenceAlgebra("l1", 3, SequenceAlgebra("l1", 2, COMPLEX)),
+    ],
+    ids=lambda i: str(i.describe()),
+)
+def test_operations_accept_leading_batch_axes(inst):
+    rng = np.random.default_rng(6)
+    xs = [inst.random_element(rng) for _ in range(2)]
+    ys = [inst.random_element(rng) for _ in range(2)]
+    assert all(x.shape == inst.shape and x.dtype == inst.dtype for x in xs)
+    products = inst.mul(np.stack(xs), np.stack(ys))
+    by_one = inst.mul(np.stack(xs), ys[0])
+    norms = inst.norms(np.stack(xs))
+    for b in range(2):
+        assert np.array_equal(products[b], inst.mul(xs[b], ys[b]))
+        assert np.array_equal(by_one[b], inst.mul(xs[b], ys[0]))
+        assert norms[b] == inst.norm(xs[b])
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +151,16 @@ def test_sequence_l1_unit_and_convolution():
         assert inst.norm(inst.mul(a, b)) <= inst.norm(a) * inst.norm(b) + 1e-9
 
 
+def test_sequence_product_matches_numpy_convolution():
+    inst = SequenceAlgebra("l1", 7, COMPLEX)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        a, b = inst.random_element(rng), inst.random_element(rng)
+        np.testing.assert_allclose(inst.mul(a, b), np.convolve(a, b)[:7], rtol=1e-13, atol=1e-13)
+
+
 def test_sequence_linf_is_coordinatewise():
-    inst = SequenceAlgebra("linf", 4, COMPLEX)
+    inst = parse_instance({"kind": "sequence", "mode": "linf", "truncation": 4})
     assert inst.norm(inst.one()) == 1.0
     a = np.array([1, 2, 3, 4], dtype=complex)
     b = np.array([2, 0, 1, 1], dtype=complex)
@@ -258,3 +310,54 @@ def test_tower_descriptor_round_trip():
     assert parse_tower({"kind": "cantor", "depth": 3}).depth == 3
     with pytest.raises(ConfigError):
         parse_instance({"kind": "uhf", "depth": 2})
+
+
+def test_linf_sequence_descriptor_is_the_function_alias():
+    inst = parse_instance({"kind": "sequence", "mode": "linf", "truncation": 5})
+    assert isinstance(inst, SampledFunctionAlgebra)
+    assert inst.grid == tuple(range(5))
+    with pytest.raises(ConfigError):
+        SequenceAlgebra("linf", 5, COMPLEX)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "matrix"},
+        {"kind": "matrix", "n": "abc"},
+        {"kind": "matrix", "n": True},
+        {"kind": "matrix", "n": 2.0},
+        {"kind": "matrix", "n": 2, "norm": 1},
+        {"kind": "matrix", "n": 2, "inner": "complex"},
+        {"kind": "matrix", "params": 3},
+        {"kind": "functions", "points": "abc"},
+        {"kind": "sequence", "truncation": False},
+        {"kind": "scaled-integers", "r": "abc"},
+        {"kind": "scaled-integers", "r": "1/0"},
+    ],
+)
+def test_descriptor_field_types_are_checked(desc):
+    with pytest.raises(ConfigError):
+        parse_instance(desc)
+
+
+def test_descriptor_element_size_is_capped_before_allocation():
+    assert MAX_ELEMENT_ENTRIES == 4096**2
+    assert parse_instance({"kind": "matrix", "n": 4096}).shape == (4096, 4096)
+    for desc in (
+        {"kind": "matrix", "n": 100000},
+        {"kind": "matrix", "n": 4097},
+        {"kind": "functions", "points": 10**12},
+        {"kind": "sequence", "truncation": 10**12},
+        {"kind": "sequence", "mode": "linf", "truncation": 10**12},
+        {"kind": "matrix", "n": 2049, "inner": {"kind": "matrix", "n": 2}},
+        {"kind": "functions", "points": 4096, "inner": {"kind": "sequence", "truncation": 4097}},
+    ):
+        with pytest.raises(ConfigError):
+            parse_instance(desc)
+
+
+def test_tower_descriptor_types_are_checked():
+    for desc in ({"kind": "uhf", "depth": "3"}, {"kind": "cantor", "depth": True}):
+        with pytest.raises(ConfigError):
+            parse_tower(desc)

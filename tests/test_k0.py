@@ -22,6 +22,7 @@ from idemkit.k0 import (
     are_equivalent,
     classify,
     direct_sum,
+    grid_bits,
     k0_of_instance,
     normalized_trace_key,
 )
@@ -117,8 +118,8 @@ def test_commutative_equivalence_iff_gridwise_equal():
 
 def test_unknown_without_key_or_proximity():
     inst = MatrixAlgebra(ScaledIntegers(1), 2)
-    e = ((1, 0), (0, 0))
-    f = ((0, 0), (0, 1))
+    e = np.array([[1, 0], [0, 0]], dtype=object)
+    f = np.array([[0, 0], [0, 1]], dtype=object)
     res = are_equivalent(inst, _cert(inst, e, 0), _cert(inst, f, 0))
     assert res.verdict == "unknown"
 
@@ -227,3 +228,22 @@ def test_mat2_has_exactly_three_classes_by_brute_force():
         e = conjugated_projector(M2, int(rng.integers(0, 3)), rng, spread=0.5)
         keys.add(classify(M2, _cert(M2, e, 1e-6)).key)
     assert keys == {0, 1, 2}
+
+
+def test_grid_bits_round_half_to_even_like_round():
+    values = np.array([0.5, 1.5, 2.5, -0.5, 0.49 + 3j, 1e-12], dtype=complex)
+    bits = grid_bits(values)
+    assert bits.tolist() == [round(v.real) for v in values]
+    assert all(type(b) is int for b in bits.tolist())
+
+
+def test_grid_gap_matches_the_scalar_loop():
+    rng = np.random.default_rng(21)
+    inst = SampledFunctionAlgebra(range(64), COMPLEX)
+    for _ in range(20):
+        noise = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        values = rng.integers(0, 2, 64) + noise * 10.0 ** rng.uniform(-16, -2)
+        cls = classify(inst, certify_idempotent(inst, values, 1.0))
+        bits = tuple(int(round(v.real)) for v in values)
+        assert cls.key == bits
+        assert cls.cert.entry("grid-gap").lhs == float(max(abs(v - b) for v, b in zip(values, bits)))
