@@ -21,10 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import calculus, colimit, deloop, homotopy, k0 as k0mod
-from .core import Certificate, check_norm_axioms, tensor_norm_int
+from .core import GROUP_AXIOM_PREFIXES, Certificate, check_norm_axioms, tensor_norm_int
 from .errors import ConfigError, IdemkitError
 from .instances import (
     COMPLEX,
+    MAX_ELEMENT_ENTRIES,
     TOWER_KINDS,
     ComplexScalars,
     MatrixAlgebra,
@@ -37,18 +38,6 @@ from .instances import (
     random_almost_idempotent,
 )
 from .report import SCHEMA_VERSION, render_report
-
-COMMANDS = (
-    "lift",
-    "transfer",
-    "k0",
-    "path-trivialize",
-    "swindle-check",
-    "collapse",
-    "norm-audit",
-    "tensor-audit",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,7 +65,7 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _RUNNERS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.format!r}")
@@ -98,10 +87,6 @@ class ExperimentConfig:
         if extras:
             raise ConfigError(f"unknown config fields: {sorted(extras)}")
         return ExperimentConfig(**d)
-
-
-def _cert_blob(name: str, cert: Certificate) -> dict:
-    return {"name": name, "entries": cert.to_json(), "valid": cert.valid}
 
 
 def _report_skeleton(config: ExperimentConfig) -> dict:
@@ -136,7 +121,7 @@ def _run_lift(config: ExperimentConfig, report: dict) -> None:
         "variant": config.variant,
     }
     report["output_element"] = inst.serialize_element(lifted.e)
-    report["certificates"].append(_cert_blob("lift", lifted.cert))
+    report["certificates"].append(("lift", lifted.cert))
 
 
 def _run_k0(config: ExperimentConfig, report: dict) -> None:
@@ -158,14 +143,14 @@ def _k0_samples(obj, seed: int, report: dict) -> list:
             e = conjugated_projector(obj, rank, rng, spread=0.4)
             cls = k0mod.classify(obj, calculus.certify_idempotent(obj, e, 1e-9))
             samples.append({"rank": rank, "key": cls.key})
-            report["certificates"].append(_cert_blob(f"class[rank={rank}]", cls.cert))
+            report["certificates"].append((f"class[rank={rank}]", cls.cert))
     elif isinstance(obj, SampledFunctionAlgebra) and over_complex(obj):
         for trial in range(min(obj.size, 3)):
             bits = rng.integers(0, 2, obj.size)
             e = bits.astype(complex)
             cls = k0mod.classify(obj, calculus.certify_idempotent(obj, e, 1e-9))
             samples.append({"trial": trial, "key": list(cls.key)})
-            report["certificates"].append(_cert_blob(f"class[{trial}]", cls.cert))
+            report["certificates"].append((f"class[{trial}]", cls.cert))
     elif isinstance(obj, Tower):
         for level in range(1, min(3, obj.depth) + 1):
             inst = obj.levels[level]
@@ -180,20 +165,7 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
     if config.direction == "sur":
         cmp_report = colimit.k0_colimit_compare(tower, config.trials, config.seed, config.eps)
         report["transfer"] = cmp_report.to_json()
-        for rec in cmp_report.records:
-            report["certificates"].append(
-                {
-                    "name": f"transfer[{rec['trial']}]",
-                    "entries": rec["transfer_certificate"],
-                    "valid": Certificate.from_json(rec["transfer_certificate"]).valid,
-                }
-            )
-        summary_cert = Certificate()
-        summary_cert.add("mismatches", cmp_report.mismatches, 0)
-        summary_cert.add(
-            "unit-certificate-failures", 0 if cmp_report.all_certificates_valid else 1, 0
-        )
-        report["certificates"].append(_cert_blob("round-trip", summary_cert))
+        report["certificates"].extend(cmp_report.certificates)
     elif config.direction == "inj":
         records = []
         for idx in range(config.trials):
@@ -227,13 +199,15 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
                 tol=config.tolerance,
             )
             records.append({"trial": idx, "level_in": level, "level_out": transfer.level})
-            report["certificates"].append(_cert_blob(f"transfer[{idx}]", transfer.cert))
+            report["certificates"].append((f"transfer[{idx}]", transfer.cert))
         report["transfer"] = {"tower": tower.describe(), "records": records}
     else:
         raise ConfigError(f"unknown transfer direction {config.direction!r}")
 
 
 def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
+    if config.n * config.n > MAX_ELEMENT_ENTRIES:
+        raise ConfigError(f"path matrices would have more than {MAX_ELEMENT_ENTRIES} entries")
     inst = MatrixAlgebra(COMPLEX, config.n)
     if config.path == "rotation":
         path = homotopy.rotation_path(inst)
@@ -252,17 +226,13 @@ def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
             "pieces has no finite model and is out of scope"
         ),
     }
-    report["certificates"].append(_cert_blob("trivialization", unit.cert))
+    report["certificates"].append(("trivialization", unit.cert))
 
 
 def _run_swindle(config: ExperimentConfig, report: dict) -> None:
     swindle = deloop.swindle_conjugator(config.support)
     report["swindle"] = swindle.to_json()
-    cert = Certificate()
-    cert.add("collisions", swindle.collisions, 0)
-    cert.add("roundtrip-failures", swindle.roundtrip_failures, 0)
-    cert.add("conjugation-mismatches", swindle.conjugation_mismatches, 0)
-    report["certificates"].append(_cert_blob("swindle", cert))
+    report["certificates"].append(("swindle", swindle.cert))
 
 
 def _run_collapse(config: ExperimentConfig, report: dict) -> None:
@@ -276,7 +246,7 @@ def _run_collapse(config: ExperimentConfig, report: dict) -> None:
             "so the quotient has trivial idempotent classes at this size"
         ),
     }
-    report["certificates"].append(_cert_blob("collapse", collapse.cert))
+    report["certificates"].append(("collapse", collapse.cert))
 
 
 def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
@@ -289,9 +259,9 @@ def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
     report["norm_audit"] = {
         "instance": inst.describe(),
         "samples": len(samples),
-        "group_axioms_valid": cert.valid_for(("zero-norm", "symmetry", "triangle")),
+        "group_axioms_valid": cert.valid_for(GROUP_AXIOM_PREFIXES),
     }
-    report["certificates"].append(_cert_blob("norm-axioms", cert))
+    report["certificates"].append(("norm-axioms", cert))
 
 
 def _run_tensor_audit(config: ExperimentConfig, report: dict) -> None:
@@ -303,7 +273,7 @@ def _run_tensor_audit(config: ExperimentConfig, report: dict) -> None:
                 got = tensor_norm_int(m, r, s, 8)
                 cert.add(f"tensor[{m},{r},{s}]", abs(got - r * s * abs(m)), 0)
     report["tensor_audit"] = {"m_range": 8, "scales": [str(s) for s in scales], "bound": 8}
-    report["certificates"].append(_cert_blob("tensor-identity", cert))
+    report["certificates"].append(("tensor-identity", cert))
 
 
 _RUNNERS = {
@@ -319,11 +289,15 @@ _RUNNERS = {
 
 
 def build_report(config: ExperimentConfig) -> dict:
-    """Run the experiment and return the full report dictionary."""
+    """Run the experiment and return the full report dictionary.
+
+    Its ``"certificates"`` are ``(name, Certificate)`` pairs until
+    :func:`~idemkit.report.render_report` serializes them.
+    """
     report = _report_skeleton(config)
     _RUNNERS[config.command](config, report)
     report["summary"] = {
-        "all_certificates_valid": all(c["valid"] for c in report["certificates"]),
+        "all_certificates_valid": all(cert.valid for _, cert in report["certificates"]),
         "certificates": len(report["certificates"]),
     }
     return report
@@ -364,40 +338,41 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--instance", help="instance descriptor (inline JSON or file)")
     common.add_argument("--tower", help="tower descriptor (inline JSON or file)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9, dest="tolerance")
-    common.add_argument("--trials", type=int, default=100)
-    common.add_argument("--eps", type=float, default=0.01)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--tol", type=float, dest="tolerance")
+    common.add_argument("--trials", type=int)
+    common.add_argument("--eps", type=float)
     common.add_argument("--out", help="report file (stdout when omitted)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--format", choices=("json", "csv"))
 
     p = sub.add_parser("lift", parents=[common], help="polish an almost-idempotent")
-    p.add_argument("--defect", type=float, default=0.09)
-    p.add_argument("--variant", choices=("corrected", "printed"), default="corrected")
+    p.add_argument("--defect", type=float)
+    p.add_argument("--variant", choices=("corrected", "printed"))
 
     sub.add_parser("k0", parents=[common], help="K0 presentation of an instance")
 
     p = sub.add_parser("transfer", parents=[common], help="tower transfer experiments")
-    p.add_argument("--direction", choices=("sur", "inj"), default="sur")
+    p.add_argument("--direction", choices=("sur", "inj"))
 
     p = sub.add_parser("path-trivialize", parents=[common], help="trivialize an idempotent path")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--path", choices=("rotation", "random"), default="rotation")
+    p.add_argument("--n", type=int)
+    p.add_argument("--path", choices=("rotation", "random"))
 
     p = sub.add_parser("swindle-check", parents=[common], help="verify the interleaving identity")
-    p.add_argument("--support", type=int, default=1024)
+    p.add_argument("--support", type=int)
 
     p = sub.add_parser("collapse", parents=[common], help="finite corner-span certificate")
     p.add_argument("--n", type=int, default=16)
 
     p = sub.add_parser("norm-audit", parents=[common], help="norm-axiom audit on an instance")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=int)
 
     sub.add_parser("tensor-audit", parents=[common], help="projective tensor norm sweep")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Config from parsed flags; an omitted flag takes the field's default."""
     d = {k: v for k, v in vars(args).items() if v is not None}
     for key in ("instance", "tower"):
         if key in d:

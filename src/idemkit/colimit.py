@@ -283,11 +283,20 @@ def transfer_injective(
 
 @dataclass
 class CompareReport:
+    """Outcome of :func:`k0_colimit_compare`.
+
+    ``records`` holds one JSON record per trial.  ``certificates`` holds
+    ``(name, Certificate)`` pairs, left out of ``to_json``: each trial's
+    transfer certificate as ``transfer[i]``, then ``round-trip``, whose
+    entries ``mismatches`` and ``unit-certificate-failures`` must both be 0.
+    """
+
     tower: dict
     trials: int
     mismatches: int
     all_certificates_valid: bool
     records: list = field(default_factory=list)
+    certificates: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -361,4 +370,9 @@ def k0_colimit_compare(tower: Tower, trials: int, seed: int, eps: float = 0.01) 
                 "unit_certificate": result.unit.cert.to_json(),
             }
         )
+        report.certificates.append((f"transfer[{idx}]", result.cert))
+    round_trip = Certificate()
+    round_trip.add("mismatches", report.mismatches, 0)
+    round_trip.add("unit-certificate-failures", 0 if report.all_certificates_valid else 1, 0)
+    report.certificates.append(("round-trip", round_trip))
     return report

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -141,9 +140,10 @@ class Certificate:
         return [e.name for e in self.entries]
 
     def valid_for(self, prefixes: Iterable[str]) -> bool:
-        """Validity restricted to entries whose name starts with a prefix."""
+        """Validity restricted to entries whose name starts with a prefix;
+        advisory entries are skipped, as in :attr:`valid`."""
         pres = tuple(prefixes)
-        return all(e.holds for e in self.entries if e.name.startswith(pres))
+        return all(e.holds for e in self.entries if not e.advisory and e.name.startswith(pres))
 
     def to_json(self) -> list[dict]:
         return [e.to_json() for e in self.entries]
@@ -151,9 +151,6 @@ class Certificate:
     @staticmethod
     def from_json(entries: list[dict]) -> "Certificate":
         return Certificate([CertEntry.from_json(d) for d in entries])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +340,9 @@ def check_norm_axioms(instance: AlgebraInstance, samples: Sequence) -> Certifica
     Entries: ``zero-norm``, per-sample ``symmetry[i]``, per-ordered-pair
     ``triangle[i,j]``, and the ring axioms ``unit-norm`` and ``submul[i,j]``.
     Nothing is raised; a violated axiom is simply an entry with
-    ``lhs > rhs``.  ``Certificate.valid_for(("zero-norm", "symmetry",
-    "triangle"))`` gives the normed-group verdict when the ring axioms are
-    not part of the instance's contract.
+    ``lhs > rhs``.  ``Certificate.valid_for(GROUP_AXIOM_PREFIXES)`` gives
+    the normed-group verdict when the ring axioms are not part of the
+    instance's contract.
     """
     cert = instance.certificate()
     cert.add("zero-norm", instance.norm(instance.zero()), 0)

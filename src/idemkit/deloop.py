@@ -158,9 +158,13 @@ class CollapseCertificate:
 
 
 def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None) -> CollapseCertificate:
-    """Pairs ``(E_{k0}, E_{0k})`` with ``sum_k E_{k0} e E_{0k} = 1_n`` exactly."""
-    if n < 1:
-        raise ConfigError("truncation size must be positive")
+    """Pairs ``(E_{k0}, E_{0k})`` with ``sum_k E_{k0} e E_{0k} = 1_n`` exactly.
+
+    ``n`` is at most ``2**16``, the swindle check's largest support: each
+    index holds a few operators, about 2 KB.
+    """
+    if not 1 <= n <= 2**16:
+        raise ConfigError("truncation size must be between 1 and 2**16")
     inner = COMPLEX if inner is None else inner
     e = CornerIdempotent(0).as_operator(inner)
     pairs = tuple(
@@ -197,19 +201,23 @@ def _column_deviation(a: EndOperator, b: EndOperator) -> NormValue:
 
 @dataclass(frozen=True)
 class SwindleReport:
+    """Counts from an exhaustive swindle check below ``support``.
+
+    ``cert`` holds the three counts as entries ``collisions``,
+    ``roundtrip-failures`` and ``conjugation-mismatches``, each against 0;
+    ``valid`` is its verdict.
+    """
+
     support: int
     collisions: int
     roundtrip_failures: int
     conjugation_mismatches: int
     checked_columns: int
+    cert: Certificate
 
     @property
     def valid(self) -> bool:
-        return (
-            self.collisions == 0
-            and self.roundtrip_failures == 0
-            and self.conjugation_mismatches == 0
-        )
+        return self.cert.valid
 
     def to_json(self) -> dict:
         return {
@@ -291,10 +299,15 @@ def swindle_conjugator(support: int) -> SwindleReport:
         if conjugated_column(col) != interleaved_column(col):
             conjugation_mismatches += 1
 
+    cert = Certificate()
+    cert.add("collisions", collisions, 0)
+    cert.add("roundtrip-failures", roundtrip_failures, 0)
+    cert.add("conjugation-mismatches", conjugation_mismatches, 0)
     return SwindleReport(
         support=support,
         collisions=collisions,
         roundtrip_failures=roundtrip_failures,
         conjugation_mismatches=conjugation_mismatches,
         checked_columns=support,
+        cert=cert,
     )

@@ -79,17 +79,18 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     segment threshold, then certifies ``norm(e(0)*u - u*e(1)) <= tol``
     together with the unit's residuals, the per-segment gaps, and the
     segment-count bound ``2*ceil(L/threshold) + 2``.  Raises
-    :class:`PathError` when some gap stays above threshold at depth
-    ``max_depth`` (the path is too wild for its hint) or when the hint
-    itself is violated.
+    :class:`PathError` for a negative ``max_depth``, when some gap stays
+    above threshold at depth ``max_depth`` (the path is too wild for its
+    hint) or when the hint itself is violated.
     """
+    if max_depth < 0:
+        raise PathError("max_depth must be nonnegative")
     inst = path.instance
     L = float(path.lipschitz_hint)
     points = [0.0, 1.0]
-    max_norm = max(float(inst.norm(path.at(0.0))), float(inst.norm(path.at(1.0))))
 
     for depth in range(max_depth + 1):
-        max_norm = max(max_norm, *(float(inst.norm(path.at(t))) for t in points))
+        max_norm = max(float(inst.norm(path.at(t))) for t in points)
         threshold = segment_threshold(max_norm)
         gaps = [
             float(inst.distance(path.at(s), path.at(t)))
@@ -112,26 +113,22 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
         for k in reversed(bad):
             points.insert(k + 1, (points[k] + points[k + 1]) / 2)
 
-    segments = list(zip(points, points[1:]))
+    # the last pass's points, gaps and threshold are the accepted segmentation;
     # composition can amplify per-segment residuals by the product of unit
     # norms, so each segment is certified two orders tighter
-    seg_tol = tol / (100 * max(1, len(segments)))
+    seg_tol = tol / (100 * len(gaps))
+    samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
     u = inst.one()
     u_inv = inst.one()
-    seg_gaps = []
-    for s, t in segments:
-        ce = certify_idempotent(inst, path.at(s), path.sample_tol)
-        cf = certify_idempotent(inst, path.at(t), path.sample_tol)
+    for ce, cf in zip(samples, samples[1:]):
         unit = conjugating_unit(inst, ce, cf, seg_tol)
         u = inst.mul(u, unit.u)
         u_inv = inst.mul(unit.u_inv, u_inv)
-        seg_gaps.append(float(inst.distance(ce.e, cf.e)))
 
     cert = inst.certificate()
     certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, u_inv, tol, intertwine_rhs=tol)
-    threshold = segment_threshold(max_norm)
-    cert.add("segments", len(segments), 2 * math.ceil(L / threshold) + 2)
-    for k, gap in enumerate(seg_gaps):
+    cert.add("segments", len(gaps), 2 * math.ceil(L / threshold) + 2)
+    for k, gap in enumerate(gaps):
         cert.add(f"segment-gap[{k}]", gap, threshold)
     return CertifiedUnit(u, u_inv, cert)
 

@@ -50,17 +50,17 @@ class IdempotentClass:
 def classify(instance: AlgebraInstance, e: CertifiedIdempotent) -> IdempotentClass:
     """Compute the class key of a certified idempotent.
 
-    Complex matrix algebras: the rank, i.e. the trace rounded to the nearest
-    integer, certified both against the hard rounding threshold 0.5 and the
+    Complex matrix algebras and the complex scalars (a scalar is its own
+    trace): the rank, i.e. the trace rounded to the nearest integer,
+    certified both against the hard rounding threshold 0.5 and the
     integrality tolerance ``RANK_TOL``.  Sampled commutative algebras over
-    the complex scalars: the gridwise 0/1 vector.  Plain complex scalars:
-    the value rounded to 0 or 1.
+    the complex scalars: the gridwise 0/1 vector.
     """
     cert = instance.certificate()
-    if isinstance(instance, MatrixAlgebra) and over_complex(instance):
-        tr = complex(np.trace(e.e))
-        rank = int(round(tr.real))
-        gap = abs(tr - rank)
+    if isinstance(instance, ComplexScalars) or (
+        isinstance(instance, MatrixAlgebra) and over_complex(instance)
+    ):
+        rank, gap = _rounded_trace(e.e)
         cert.add("rank-gap", gap, 0.5)
         cert.add("rank-integrality", gap, RANK_TOL)
         return IdempotentClass(e, rank, cert)
@@ -73,13 +73,15 @@ def classify(instance: AlgebraInstance, e: CertifiedIdempotent) -> IdempotentCla
         if np.any((bits != 0) & (bits != 1)):
             raise ConfigError("sampled element is not near a 0/1 vector")
         return IdempotentClass(e, tuple(bits.tolist()), cert)
-    if isinstance(instance, ComplexScalars):
-        rank = int(round(complex(e.e).real))
-        gap = abs(complex(e.e) - rank)
-        cert.add("rank-gap", gap, 0.5)
-        cert.add("rank-integrality", gap, RANK_TOL)
-        return IdempotentClass(e, rank, cert)
     raise ConfigError(f"no complete class key for instance kind {instance.kind!r}")
+
+
+def _rounded_trace(x) -> tuple[int, float]:
+    """The trace rounded to an integer, and its distance from that integer;
+    a scalar is its own trace."""
+    tr = complex(np.trace(np.atleast_2d(x)))
+    rank = int(round(tr.real))
+    return rank, abs(tr - rank)
 
 
 def grid_bits(values) -> np.ndarray:
@@ -90,8 +92,7 @@ def grid_bits(values) -> np.ndarray:
 
 def normalized_trace_key(instance: MatrixAlgebra, e) -> Fraction:
     """Rank over matrix size, as an exact rational (the tower-level key)."""
-    rank = int(round(complex(np.trace(e)).real))
-    return Fraction(rank, instance.n)
+    return Fraction(_rounded_trace(e)[0], instance.n)
 
 
 # ---------------------------------------------------------------------------

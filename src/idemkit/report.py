@@ -1,4 +1,9 @@
-"""Deterministic report rendering (JSON and delimited CSV)."""
+"""Deterministic report rendering (JSON and delimited CSV).
+
+A report is a dictionary of JSON values except for ``"certificates"``, a
+list of ``(name, Certificate)`` pairs.  The renderers here are the only
+code that serializes those certificates.
+"""
 
 from __future__ import annotations
 
@@ -10,34 +15,26 @@ SCHEMA_VERSION = 1
 
 
 def render_json(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    """The report as sorted, indented JSON; each ``(name, Certificate)``
+    pair becomes ``{"name", "entries", "valid"}``."""
+    certificates = [
+        {"name": name, "entries": cert.to_json(), "valid": cert.valid}
+        for name, cert in report["certificates"]
+    ]
+    doc = {**report, "certificates": certificates}
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
 def render_csv(report: dict) -> bytes:
-    """Flatten every certificate entry in the report into one row."""
+    """One row per entry of each ``(name, Certificate)`` pair in the report."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["certificate", "entry", "lhs", "rhs", "advisory", "holds"])
-    for cert in report.get("certificates", []):
-        for entry in cert["entries"]:
-            lhs, rhs = entry["lhs"], entry["rhs"]
-            writer.writerow(
-                [
-                    cert["name"],
-                    entry["name"],
-                    lhs,
-                    rhs,
-                    entry.get("advisory", False),
-                    _leq(lhs, rhs),
-                ]
-            )
+    for name, cert in report["certificates"]:
+        for entry in cert.entries:
+            d = entry.to_json()
+            writer.writerow([name, entry.name, d["lhs"], d["rhs"], entry.advisory, entry.holds])
     return buf.getvalue().encode()
-
-
-def _leq(lhs, rhs) -> bool:
-    from .core import _norm_from_json
-
-    return bool(_norm_from_json(lhs) <= _norm_from_json(rhs))
 
 
 def render_report(report: dict, fmt: str) -> bytes:

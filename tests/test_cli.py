@@ -1,6 +1,8 @@
 """CLI configs, exit codes, report formats and reproducibility."""
 
+import csv
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idemkit.cli import ExperimentConfig, build_report, main, run
+from idemkit.core import Certificate
 from idemkit.errors import ConfigError
+from idemkit.report import render_report
 
 
 def test_config_round_trips_through_serialization():
@@ -230,3 +234,62 @@ def test_descriptors_through_main_end_in_an_exit_code(command, desc):
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "report.out")
         assert main([*command, json.dumps(desc), "--out", out]) in (0, 1, 2)
+
+
+def test_report_certificates_stay_objects_until_rendered():
+    config = ExperimentConfig(
+        command="norm-audit", instance={"kind": "scaled-integers", "r": "1/2"}, samples=2
+    )
+    report = build_report(config)
+    [(name, cert)] = report["certificates"]
+    assert name == "norm-axioms" and isinstance(cert, Certificate)
+    assert report["summary"]["all_certificates_valid"] is cert.valid is False
+    doc = json.loads(render_report(report, "json"))
+    assert doc["certificates"] == [{"name": name, "entries": cert.to_json(), "valid": False}]
+    rows = list(csv.reader(render_report(report, "csv").decode().splitlines()))[1:]
+    assert len(rows) == len(cert.entries)
+    for row, entry in zip(rows, cert.entries):
+        d = entry.to_json()
+        assert row == [name, entry.name, str(d["lhs"]), str(d["rhs"]), "False", str(entry.holds)]
+
+
+@pytest.mark.parametrize("command", ["collapse", "path-trivialize"])
+def test_huge_n_exits_one_before_allocating(command, capsys):
+    assert main([command, "--n", "1000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+
+
+def test_k0_on_functions_samples_bit_vectors(tmp_path):
+    out = tmp_path / "k0f.json"
+    assert main(["k0", "--instance", '{"kind":"functions","points":4}', "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["k0"]["group"] == "Z^4"
+    samples = report["class_map_samples"]
+    assert [s["trial"] for s in samples] == [0, 1, 2]
+    assert all(len(s["key"]) == 4 and set(s["key"]) <= {0, 1} for s in samples)
+    assert [c["name"] for c in report["certificates"]] == ["class[0]", "class[1]", "class[2]"]
+    assert report["summary"]["all_certificates_valid"]
+
+
+def _readme_command_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("idemkit ")]
+
+
+def test_readme_shows_every_command():
+    shown = {shlex.split(line)[1] for line in _readme_command_lines()}
+    assert shown == {
+        "lift", "transfer", "k0", "path-trivialize",
+        "swindle-check", "collapse", "norm-audit", "tensor-audit",
+    }
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_exits_as_documented(line, tmp_path):
+    comment = line.partition(" #")[2]
+    argv = shlex.split(line, comments=True)[1:]
+    expected = 2 if "exits 2" in comment else 0
+    assert main([*argv, "--out", str(tmp_path / "report.out")]) == expected

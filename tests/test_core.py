@@ -53,6 +53,15 @@ def test_advisory_entries_do_not_affect_validity():
     assert not cert.entry("soft").holds
 
 
+def test_valid_for_skips_advisory_entries_like_valid():
+    cert = Certificate()
+    cert.add("triangle[0,0]", 1, 2)
+    cert.add("triangle[0,1]", 9, 1, advisory=True)
+    cert.add("submul[0,0]", 9, 1)
+    assert cert.valid_for(("triangle",))
+    assert not cert.valid_for(("submul",))
+
+
 def test_certificate_json_round_trip():
     cert = Certificate()
     cert.add("float", 0.5, 1.0)

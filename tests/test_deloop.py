@@ -141,3 +141,15 @@ def test_swindle_report_serializes():
     report = swindle_conjugator(16)
     blob = report.to_json()
     assert blob["valid"] and blob["support"] == 16
+
+
+def test_swindle_report_valid_reads_its_certificate():
+    report = swindle_conjugator(64)
+    assert report.cert.names() == ["collisions", "roundtrip-failures", "conjugation-mismatches"]
+    assert [e.lhs for e in report.cert.entries] == [0, 0, 0]
+    assert report.valid and report.cert.valid
+
+
+def test_collapse_size_is_capped_before_allocation():
+    with pytest.raises(ConfigError, match="2\\*\\*16"):
+        finite_collapse_certificate(10**9)

@@ -93,6 +93,24 @@ def test_segment_count_obeys_bisection_bound():
         assert entry.holds, (entry.lhs, entry.rhs)
 
 
+def test_each_sample_is_certified_once(monkeypatch):
+    import idemkit.homotopy as homotopy
+
+    calls = []
+    monkeypatch.setattr(
+        homotopy, "certify_idempotent", lambda *a: calls.append(a) or certify_idempotent(*a)
+    )
+    unit = path_trivialize(rotation_path(MatrixAlgebra(COMPLEX, 3)), tol=1e-8)
+    segments = int(unit.cert.entry("segments").lhs)
+    assert segments > 1
+    assert len(calls) == segments + 1
+
+
+def test_negative_max_depth_rejected():
+    with pytest.raises(PathError, match="max_depth"):
+        path_trivialize(rotation_path(M2), max_depth=-1)
+
+
 def test_segment_threshold_decreases_with_norm():
     assert segment_threshold(0.0) == pytest.approx(math.sqrt(0.5))
     assert segment_threshold(2.0) < segment_threshold(1.0) < segment_threshold(0.5)

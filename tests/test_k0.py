@@ -48,6 +48,16 @@ def test_classify_rank_of_projectors():
         assert cls.cert.valid
 
 
+def test_classify_complex_scalars_rounds_the_value():
+    for value, key in ((0j, 0), (1 + 0j, 1), (1 - 3e-7 + 4e-7j, 1), (0.3 + 0j, 0)):
+        cls = classify(COMPLEX, _cert(COMPLEX, value, tol=1))
+        gap = abs(value - key)
+        assert cls.key == key and type(cls.key) is int
+        assert cls.cert.entry("rank-gap").lhs == gap
+        assert cls.cert.entry("rank-integrality").holds == (gap <= 1e-6 + COMPLEX.slack)
+    assert not classify(COMPLEX, _cert(COMPLEX, 0.3 + 0j, tol=1)).cert.valid
+
+
 def test_class_key_is_conjugation_invariant():
     rng = np.random.default_rng(5)
     for _ in range(200):
