@@ -1,27 +1,34 @@
 """Certified inversion and idempotent polishing in normed rings.
 
 The inverse of an element close to 1 is a truncated geometric series with a
-certified tail; an almost-idempotent is polished to a true idempotent by an
-integer-coefficient power series in its defect.  Two series variants are
+certified tail, evaluated as a product of ``1 + d**(2**i)`` factors; an
+almost-idempotent is polished to a true idempotent.  Two lift variants are
 shipped:
 
-* ``"corrected"`` carries a ``(2a - 1)`` prefactor and provably squares to
-  an idempotent in the commutative subring generated by ``a`` (its scalar
-  model returns exactly the nearest of 0 and 1); this is the variant every
-  other module relies on.
-* ``"printed"`` omits the prefactor.  Its scalar model fails idempotency
-  (for ``a = 0.1`` it returns about 0.2 with defect about 0.16), so its
-  defect certificate is expected to be invalid; it is kept so that the
-  failure is reproducible data rather than an anecdote.
+* ``"corrected"`` is the series with a ``(2a - 1)`` prefactor, which sums to
+  ``(1 + sign(2a - 1)) / 2``.  It is evaluated by the Newton idempotent
+  iteration ``e <- e*e*(3 - 2e)`` (Newton-Schulz on ``2e - 1``), whose
+  integer coefficients keep it exact on exact instances.  It provably
+  yields an idempotent in the commutative subring generated by ``a`` (its
+  scalar model returns exactly the nearest of 0 and 1); this is the variant
+  every other module relies on.
+* ``"printed"`` omits the prefactor and is summed as an integer-coefficient
+  power series in the defect, by Paterson-Stockmeyer.  Its scalar model
+  fails idempotency (for ``a = 0.1`` it returns about 0.2 with defect about
+  0.16), so its defect certificate is expected to be invalid; it is kept so
+  that the failure is reproducible data rather than an anecdote.
 
 All series coefficients are integers, computed in exact rational
-arithmetic, cached, and checked for integrality at import time.
+arithmetic, cached, and checked for integrality at import time; the
+``corrected`` coefficients remain the reference that
+:func:`scalar_lift_rational` sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -30,6 +37,7 @@ from .core import AlgebraInstance, Certificate
 from .errors import PreconditionError, SeriesTruncationError
 
 SERIES_HARD_CAP = 10_000
+NEWTON_STEP_CAP = 64
 _COEFFICIENT_CHECK_RANGE = 64
 
 
@@ -106,12 +114,22 @@ def h_bound(t) -> float:
     """Distance bound ``(1 - sqrt(1 - 4t)) / 2`` on ``[0, 1/4)``.
 
     Monotone increasing with ``h(t) >= t``; it is the sum of the series
-    ``sum_{n>=1} catalan(n-1) * t**n``.
+    ``sum_{n>=1} catalan(n-1) * t**n``.  Evaluated as
+    ``2t / (1 + sqrt(1 - 4t))``, which keeps full precision for small ``t``.
     """
     t = float(t)
     if not 0 <= t < 0.25:
         raise PreconditionError(f"h_bound needs 0 <= t < 1/4, got {t}")
-    return (1 - math.sqrt(1 - 4 * t)) / 2
+    return 2 * t / (1 + math.sqrt(1 - 4 * t))
+
+
+def _inverse_sqrt_excess(t: float) -> float:
+    """``(1 - 4t)**-0.5 - 1`` on ``[0, 1/4)``, positive for every ``t > 0``.
+
+    It bounds ``norm((1 + 4s)**-0.5 - 1)`` when ``norm(s) <= t``; the
+    ``expm1``/``log1p`` form does not round to 0 for tiny ``t``.
+    """
+    return math.expm1(-0.5 * math.log1p(-4 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +139,13 @@ def h_bound(t) -> float:
 def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
     """Invert ``u`` with ``norm(1 - u) < 1`` by a truncated geometric series.
 
-    The truncation index is the smallest ``N`` whose geometric tail bound
-    ``q**(N+1) / (1 - q)`` with ``q = norm(1 - u)`` is at most ``tol``; the
-    certificate records the tail bound against ``tol`` and both measured
-    residuals against the tail bound.
+    With ``d = 1 - u`` and ``q = norm(d)``, ``N`` is the smallest index whose
+    geometric tail bound ``q**(N+1) / (1 - q)`` is at most ``tol``.  The
+    inverse is the sum of ``d**k`` for ``k < 2**m``, ``m = N.bit_length()``,
+    computed as the product of ``1 + d**(2**i)`` for ``i < m``: ``2(m-1)``
+    multiplications instead of ``N``.  The certificate records the tail
+    bound ``q**(2**m) / (1 - q)`` (never above the one at ``N``) against
+    ``tol`` and both measured residuals against the tail bound.
     """
     one = instance.one()
     d = instance.sub(one, u)
@@ -134,7 +155,7 @@ def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
             f"not provably invertible by the geometric series: norm(1 - u) = {q} >= 1"
         )
     if q == 0:
-        n_terms, tail = 0, 0.0
+        n_factors, tail = 0, 0.0
     else:
         qf = float(q)
         power = qf
@@ -146,12 +167,15 @@ def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
                 raise SeriesTruncationError(
                     f"geometric series needs more than {SERIES_HARD_CAP} terms"
                 )
-        tail = power / (1 - qf)
+        n_factors = n_terms.bit_length()
+        tail = qf ** (1 << n_factors) / (1 - qf)
     acc = one
-    pw = one
-    for _ in range(n_terms):
-        pw = instance.mul(pw, d)
-        acc = instance.add(acc, pw)
+    if n_factors:
+        acc = instance.add(one, d)
+        pw = d
+        for _ in range(1, n_factors):
+            pw = instance.mul(pw, pw)
+            acc = instance.mul(acc, instance.add(one, pw))
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
     cert.add("residual-left", instance.distance(instance.mul(u, acc), one), tail)
@@ -266,14 +290,13 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
 
     Stops at the smallest ``N`` whose first omitted term bound, divided by
     ``1 - 4t``, is at most ``tol`` (the term bounds decay at least
-    geometrically with ratio ``4t``).  Returns ``(value, tail_bound)``.
-    Raises :class:`SeriesTruncationError` past ``SERIES_HARD_CAP`` terms or
-    once a coefficient no longer fits in a float.
+    geometrically with ratio ``4t``); ``N`` is chosen from scalars before
+    any product.  Returns ``(value, tail_bound)``.  Raises
+    :class:`SeriesTruncationError` past ``SERIES_HARD_CAP`` terms or once a
+    coefficient no longer fits in a float.
     """
     if t == 0:
         return instance.zero(), 0.0
-    acc = instance.zero()
-    s_pow = None
     term_bound = abs(coefficient(1)) * t
     n = 0
     while True:
@@ -282,9 +305,7 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
             raise SeriesTruncationError(
                 f"series needs more than {SERIES_HARD_CAP} terms at defect {t}"
             )
-        s_pow = s if s_pow is None else instance.mul(s_pow, s)
         try:
-            acc = instance.add(acc, instance.int_scale(coefficient(n), s_pow))
             next_bound = term_bound * abs(coefficient(n + 1)) / abs(coefficient(n)) * t
         except OverflowError as exc:
             raise SeriesTruncationError(
@@ -292,8 +313,56 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
                 f"bound reaches {tol} at defect {t}"
             ) from exc
         if next_bound / (1 - 4 * t) <= tol:
-            return acc, next_bound / (1 - 4 * t)
+            break
         term_bound = next_bound
+    coefficients = [0] + [coefficient(k) for k in range(1, n + 1)]
+    return _paterson_stockmeyer(instance, s, coefficients), next_bound / (1 - 4 * t)
+
+
+def _paterson_stockmeyer(instance: AlgebraInstance, s, coefficients):
+    """``sum_n coefficients[n] * s**n`` in about ``2 * sqrt(N)`` products.
+
+    With ``p = isqrt(N)`` for degree ``N``: ``p - 1`` products for the powers
+    ``s**2 .. s**p``, then Horner in ``s**p`` over blocks of ``p``
+    coefficients, ``N // p`` products (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 1973).
+    """
+    degree = len(coefficients) - 1
+    p = math.isqrt(degree)
+    powers = [instance.one(), s]
+    for _ in range(2, p + 1):
+        powers.append(instance.mul(powers[-1], s))
+    acc = None
+    for start in range(degree - degree % p, -1, -p):
+        if acc is not None:
+            acc = instance.mul(acc, powers[p])
+        for c, w in zip(coefficients[start : start + p], powers):
+            term = instance.int_scale(c, w)
+            acc = term if acc is None else instance.add(acc, term)
+    return acc
+
+
+def _newton_steps(t: float, x: float, tol: float) -> tuple[int, float]:
+    """Steps of ``e <- e*e*(3 - 2e)`` from defect ``t`` and ``x = norm(2a - 1)``.
+
+    Each step maps a defect ``s`` to ``s*s*(4s - 3)``, so its norm bound goes
+    ``t -> t*t*(3 + 4t)`` (below ``t`` exactly when ``t < 1/4``), and
+    ``2e - 1`` is multiplied by ``1 - 2s``, so ``x -> x*(1 + 2t)``.  The
+    limit ``e`` is the same at every step, within
+    ``x * ((1 - 4t)**-0.5 - 1) / 2`` of the current one.  Returns the first
+    step count where that distance is at most ``tol``, and the distance.
+    """
+    for steps in range(NEWTON_STEP_CAP + 1):
+        tail = x * _inverse_sqrt_excess(t) / 2
+        if tail <= tol:
+            return steps, tail
+        x *= 1 + 2 * t
+        # rounded up to the smallest normal float rather than underflowing
+        # to 0, so the bound stays positive and an upper bound
+        t = max(t * t * (3 + 4 * t), sys.float_info.min)
+    raise SeriesTruncationError(
+        f"Newton lift needs more than {NEWTON_STEP_CAP} steps to reach {tol}"
+    )
 
 
 def lift_idempotent(
@@ -301,15 +370,18 @@ def lift_idempotent(
 ) -> CertifiedIdempotent:
     """Polish an almost-idempotent ``a`` with ``norm(a*a - a) < 1/4``.
 
-    Both variants are power series in the defect ``s = a*a - a``, truncated
-    once the certified geometric tail (ratio ``4t``) drops below ``tol``:
+    With the defect ``s = a*a - a`` and ``t = norm(s)``:
 
-    * ``"corrected"``: ``e = a + (2a - 1) * sum_n corrected_coefficient(n) * s**n``.
+    * ``"corrected"``: ``e = a + (2a - 1) * sum_n corrected_coefficient(n) * s**n``,
+      evaluated by Newton steps ``e <- e*e*(3 - 2e)`` from ``e = a`` until
+      the certified distance to that sum is at most ``tol`` (the step count
+      is fixed from scalars before any product).
       Promises ``norm(e*e - e) <= tol``, commutation with ``a``, and
       ``norm(e - a) <= norm(2a - 1) * ((1 - 4t)**-0.5 - 1) / 2``.
-    * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``.  The
-      measured defect is recorded against ``tol`` but generally fails; the
-      certificate is the evidence.
+    * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``,
+      truncated once the geometric tail (ratio ``4t``) drops below ``tol``.
+      The measured defect is recorded against ``tol`` but generally fails;
+      the certificate is the evidence.
 
     The distance is certified against both the classical bound
     ``h(t) = (1 - sqrt(1 - 4t)) / 2`` and the prefactor-aware bound above;
@@ -319,20 +391,27 @@ def lift_idempotent(
     """
     if variant not in ("printed", "corrected"):
         raise PreconditionError(f"unknown lift variant {variant!r}")
-    s = instance.sub(instance.mul(a, a), a)
+    a_sq = instance.mul(a, a)
+    s = instance.sub(a_sq, a)
     t = float(instance.norm(s))
     if t >= 0.25:
         raise PreconditionError(f"defect norm(a*a - a) = {t} is not below 1/4")
-    two_a_minus_1 = instance.sub(instance.int_scale(2, a), instance.one())
+    x = float(instance.norm(instance.sub(instance.int_scale(2, a), instance.one())))
     if variant == "printed":
-        x, tail = _series_sum(instance, s, t, printed_coefficient, tol)
-        e = instance.sub(a, x)
+        del a_sq  # one n x n array fewer while the series holds its powers
+        series, tail = _series_sum(instance, s, t, printed_coefficient, tol)
+        e = instance.sub(a, series)
     else:
-        x, tail = _series_sum(instance, s, t, corrected_coefficient, tol)
-        e = instance.add(a, instance.mul(two_a_minus_1, x))
+        steps, tail = _newton_steps(t, x, tol)
+        three = instance.int_scale(3, instance.one())
+        e, e_sq = a, a_sq
+        for step in range(steps):
+            if step:
+                e_sq = instance.mul(e, e)
+            e = instance.mul(e_sq, instance.sub(three, instance.int_scale(2, e)))
 
     dist = instance.distance(e, a)
-    derived = float(instance.norm(two_a_minus_1)) * ((1 - 4 * t) ** -0.5 - 1) / 2
+    derived = x * _inverse_sqrt_excess(t) / 2
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
     cert.add("defect", instance.distance(instance.mul(e, e), e), tol)

@@ -25,7 +25,6 @@ from .core import GROUP_AXIOM_PREFIXES, Certificate, check_norm_axioms, tensor_n
 from .errors import ConfigError, IdemkitError
 from .instances import (
     COMPLEX,
-    MAX_ELEMENT_ENTRIES,
     TOWER_KINDS,
     ComplexScalars,
     MatrixAlgebra,
@@ -205,9 +204,14 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
         raise ConfigError(f"unknown transfer direction {config.direction!r}")
 
 
+#: largest path-trivialize size: the path caches one n x n complex sample
+#: per segment end (17 on the rotation path), 16 MB each at n = 1024
+MAX_PATH_N = 1024
+
+
 def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
-    if config.n * config.n > MAX_ELEMENT_ENTRIES:
-        raise ConfigError(f"path matrices would have more than {MAX_ELEMENT_ENTRIES} entries")
+    if config.n > MAX_PATH_N:
+        raise ConfigError(f"path-trivialize --n must be at most {MAX_PATH_N}, got {config.n}")
     inst = MatrixAlgebra(COMPLEX, config.n)
     if config.path == "rotation":
         path = homotopy.rotation_path(inst)

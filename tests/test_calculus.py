@@ -27,6 +27,7 @@ from idemkit.instances import (
     COMPLEX,
     MatrixAlgebra,
     SequenceAlgebra,
+    conjugated_projector,
     random_almost_idempotent,
 )
 
@@ -187,6 +188,10 @@ def test_h_bound_monotone_and_dominates_t():
     assert all(h >= t for h, t in zip(hs, ts))
 
 
+def test_h_bound_keeps_precision_for_tiny_defects():
+    assert h_bound(1e-20) == pytest.approx(1e-20, rel=1e-12)
+
+
 def test_h_bound_domain():
     with pytest.raises(PreconditionError):
         h_bound(0.25)
@@ -340,11 +345,11 @@ def test_conjugation_bound_formula():
 
 
 def test_series_coefficient_overflow_is_a_truncation_error():
-    # the corrected series needs a coefficient past float range before the
+    # the printed series needs a coefficient past float range before the
     # tail bound can reach 1e-300
     a = complex(h_bound(0.09))
-    with pytest.raises(SeriesTruncationError):
-        lift_idempotent(COMPLEX, a, "corrected", 1e-300)
+    with pytest.raises(SeriesTruncationError, match="coefficient 521 overflows"):
+        lift_idempotent(COMPLEX, a, "printed", 1e-300)
 
 
 def test_certify_unit_records_intertwine_then_residuals():
@@ -360,3 +365,178 @@ def test_certify_unit_records_intertwine_then_residuals():
     certify_unit(M2, only, e, f, u, None, 1e-9, intertwine_rhs=0.5)
     assert only.names() == ["intertwine"]
     assert only.entry("intertwine").rhs == 0.5 + M2.slack
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the term-by-term series
+
+
+def _pinned_almost_idempotent(inst, t, seed):
+    """``p + h*x`` with ``h`` bisected until the defect is within 1e-9 of ``t``."""
+    rng = np.random.default_rng(seed)
+    base = conjugated_projector(inst, int(rng.integers(1, inst.n)), rng, spread=0.5)
+    x = inst.random_element(rng)
+    x /= inst.norm(x)
+    defect = lambda h: inst.norm(inst.sub(inst.mul(base + h * x, base + h * x), base + h * x))
+    lo, hi = 0.0, t
+    while defect(hi) < t:
+        hi *= 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if t * (1 - 1e-9) <= defect(mid) <= t:
+            return base + mid * x
+        lo, hi = (mid, hi) if defect(mid) < t else (lo, mid)
+    raise AssertionError(f"could not pin the defect at {t}")
+
+
+def _series_lift(inst, a, variant, tol):
+    """The lift summed term by term, with the certificate entries of
+    :func:`lift_idempotent`: the reference for both fast paths."""
+    s = inst.sub(inst.mul(a, a), a)
+    t = float(inst.norm(s))
+    coefficient = corrected_coefficient if variant == "corrected" else printed_coefficient
+    acc, s_pow, term_bound, n = inst.zero(), None, abs(coefficient(1)) * t, 0
+    while True:
+        n += 1
+        s_pow = s if s_pow is None else inst.mul(s_pow, s)
+        acc = inst.add(acc, inst.int_scale(coefficient(n), s_pow))
+        next_bound = term_bound * abs(coefficient(n + 1)) / abs(coefficient(n)) * t
+        if next_bound / (1 - 4 * t) <= tol:
+            break
+        term_bound = next_bound
+    two_a_minus_1 = inst.sub(inst.int_scale(2, a), inst.one())
+    if variant == "corrected":
+        e = inst.add(a, inst.mul(two_a_minus_1, acc))
+    else:
+        e = inst.sub(a, acc)
+    dist = inst.distance(e, a)
+    cert = inst.certificate()
+    cert.add("tail-bound", next_bound / (1 - 4 * t), tol)
+    cert.add("defect", inst.distance(inst.mul(e, e), e), tol)
+    cert.add("commute", inst.distance(inst.mul(e, a), inst.mul(a, e)), tol)
+    cert.add("distance-h", dist, (1 - math.sqrt(1 - 4 * t)) / 2, advisory=variant == "corrected")
+    derived = float(inst.norm(two_a_minus_1)) * ((1 - 4 * t) ** -0.5 - 1) / 2
+    cert.add("distance-derived", dist, derived, advisory=variant == "printed")
+    return e, cert
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_lift_fast_paths_match_the_term_by_term_series(variant):
+    # the series' float coefficients overflow before its tail reaches
+    # 1e-12 at defects above about 0.235
+    for i, t in enumerate(np.linspace(0.02, 0.235, 12)):
+        n = 2 + i % 7
+        inst = MatrixAlgebra(COMPLEX, n)
+        a = _pinned_almost_idempotent(inst, float(t), seed=200 + i)
+        fast = lift_idempotent(inst, a, variant, 1e-12)
+        e, reference = _series_lift(inst, a, variant, 1e-12)
+        assert inst.distance(fast.e, e) <= 1e-12
+        assert fast.cert.names() == reference.names()
+        assert [x.holds for x in fast.cert.entries] == [x.holds for x in reference.entries]
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_scalar_lift_matches_the_rational_oracle(variant):
+    for t in (0.02, 0.1, 0.2, 0.235):
+        a = Fraction(h_bound(t)).limit_denominator(10**6)
+        s = abs(float(a * a - a))
+        terms = math.ceil(math.log(1e-15 * (1 - 4 * s)) / math.log(4 * s))
+        exact = float(scalar_lift_rational(a, variant, terms))
+        lifted = lift_idempotent(COMPLEX, complex(a), variant, 1e-12)
+        assert abs(lifted.e - exact) <= 1e-12
+
+
+def test_neumann_product_form_matches_the_geometric_series():
+    rng = np.random.default_rng(41)
+    tol = 1e-9
+    for i, q in enumerate(np.linspace(0.05, 0.95, 14)):
+        n = 2 + i % 7
+        inst = MatrixAlgebra(COMPLEX, n)
+        d = inst.random_element(rng)
+        d *= q / inst.norm(d)
+        u = inst.sub(inst.one(), d)
+        unit = neumann_inverse(inst, u, tol)
+        # the series as it was summed before: N terms, tail q**(N+1) / (1 - q)
+        n_terms = 0
+        while q ** (n_terms + 1) / (1 - q) > tol:
+            n_terms += 1
+        powers = [inst.one()]
+        for _ in range(2 ** n_terms.bit_length() - 1):
+            powers.append(inst.mul(powers[-1], d))
+        assert inst.distance(unit.u_inv, sum(powers)) <= 1e-12
+        old = sum(powers[: n_terms + 1])
+        tail = q ** (n_terms + 1) / (1 - q)
+        reference = inst.certificate()
+        reference.add("tail-bound", tail, tol)
+        reference.add("residual-left", inst.distance(inst.mul(u, old), inst.one()), tail)
+        reference.add("residual-right", inst.distance(inst.mul(old, u), inst.one()), tail)
+        assert unit.cert.entry("tail-bound").lhs <= tail
+        assert [x.holds for x in unit.cert.entries] == [x.holds for x in reference.entries]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-15])
+def test_tail_bound_is_positive_for_every_nonzero_defect(tol):
+    for t in (1e-12, 1e-9, 1e-6, 0.02, 0.1, 0.2, 0.235):
+        a = complex(h_bound(t))
+        for variant in ("corrected", "printed"):
+            assert lift_idempotent(COMPLEX, a, variant, tol).cert.entry("tail-bound").lhs > 0
+        m4 = MatrixAlgebra(COMPLEX, 4)
+        b = random_almost_idempotent(m4, t, seed=5)
+        assert lift_idempotent(m4, b, "corrected", tol).cert.entry("tail-bound").lhs > 0
+
+
+def test_newton_lift_near_a_quarter_and_its_step_cap():
+    lifted = lift_idempotent(COMPLEX, complex(h_bound(0.25 - 2**-50)), "corrected", 1e-12)
+    assert lifted.cert.valid
+    with pytest.raises(SeriesTruncationError, match="Newton"):
+        lift_idempotent(COMPLEX, 0.1 + 0j, "corrected", -1.0)  # no step count meets it
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+class _CountingMatrices(MatrixAlgebra):
+    """Complex matrices that count their products."""
+
+    def __init__(self, n):
+        super().__init__(COMPLEX, n)
+        self.products = 0
+
+    def mul(self, x, y):
+        self.products += 1
+        return super().mul(x, y)
+
+
+def _products(inst, run):
+    inst.products = 0
+    run()
+    return inst.products
+
+
+def test_neumann_product_count():
+    inst = _CountingMatrices(16)
+    d = inst.random_element(np.random.default_rng(43))
+    d *= 0.9 / inst.norm(d)
+    u = inst.sub(inst.one(), d)
+    assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= 16
+
+
+def test_neumann_never_uses_more_products_than_the_series():
+    inst = _CountingMatrices(4)
+    rng = np.random.default_rng(47)
+    for q in [0.0, 1e-12, *np.linspace(0.01, 0.99, 60)]:
+        d = inst.random_element(rng)
+        d *= q / inst.norm(d)
+        u = inst.sub(inst.one(), d)
+        n_terms = 0
+        while q and q ** (n_terms + 1) / (1 - q) > 1e-9:
+            n_terms += 1
+        assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= n_terms + 2
+
+
+@pytest.mark.parametrize("variant, budget", [("corrected", 18), ("printed", 21)])
+def test_lift_product_count_at_defect_0_2(variant, budget):
+    inst = _CountingMatrices(16)
+    a = _pinned_almost_idempotent(inst, 0.2, seed=53)
+    assert _products(inst, lambda: lift_idempotent(inst, a, variant, 1e-10)) <= budget

@@ -85,6 +85,19 @@ def test_corrected_variant_on_scalar_exits_zero(tmp_path):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("flags", [["--tol", "1e-300"], ["--defect", "0.249"]])
+def test_corrected_lift_reaches_tiny_tolerances_and_defects_near_a_quarter(flags, tmp_path):
+    out = tmp_path / "lift.json"
+    assert main(["lift", *flags, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    [cert] = report["certificates"]
+    assert [e["name"] for e in cert["entries"]] == [
+        "tail-bound", "defect", "commute", "distance-h", "distance-derived",
+    ]
+    assert cert["valid"] and report["summary"]["all_certificates_valid"]
+    assert cert["entries"][0]["lhs"] > 0
+
+
 def test_reports_are_byte_identical_for_equal_config_and_seed(tmp_path):
     config = ExperimentConfig(
         command="transfer",
@@ -169,7 +182,7 @@ def test_build_report_contains_config_echo():
         ["norm-audit", "--instance", '{"kind":"matrix"}'],
         ["norm-audit", "--instance", '{"kind":"matrix","n":100000}'],
         ["k0", "--instance", "[1, 2]"],
-        ["lift", "--tol", "1e-300"],
+        ["lift", "--variant", "printed", "--tol", "1e-300"],
         ["lift", "--tol", "0"],
         ["transfer", "--trials", "-1"],
     ],
@@ -253,9 +266,16 @@ def test_report_certificates_stay_objects_until_rendered():
         assert row == [name, entry.name, str(d["lhs"]), str(d["rhs"]), "False", str(entry.holds)]
 
 
-@pytest.mark.parametrize("command", ["collapse", "path-trivialize"])
-def test_huge_n_exits_one_before_allocating(command, capsys):
-    assert main([command, "--n", "1000000000"]) == 1
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param("collapse", "1000000000", id="collapse"),
+        pytest.param("path-trivialize", "1000000000", id="path-trivialize"),
+        pytest.param("path-trivialize", "1025", id="path-trivialize-1025"),
+    ],
+)
+def test_huge_n_exits_one_before_allocating(command, n, capsys):
+    assert main([command, "--n", n]) == 1
     err = capsys.readouterr().err
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1
