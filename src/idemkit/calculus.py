@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -73,13 +74,30 @@ def certify_idempotent(instance: AlgebraInstance, e, tol: float) -> CertifiedIde
 # series coefficients
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_memo(num2: int) -> list[Fraction]:
+    """``binom(num2/2, k)`` for ``k = 0, 1, ...``, grown in order by
+    :func:`_binomial_series_coefficient` under ``_BINOMIAL_LOCK``."""
+    return [Fraction(1)]
+
+
+_BINOMIAL_LOCK = threading.Lock()
+
+
 def _binomial_series_coefficient(num2: int, n: int) -> Fraction:
-    """``binom(num2/2, n)`` in exact rationals."""
+    """``binom(num2/2, n)`` in exact rationals.
+
+    Extends the memo by the ratio ``binom(a, k + 1) = binom(a, k) * (a - k)
+    / (k + 1)``, one product per new ``k``, in a loop rather than a
+    recursion, so the first ``N`` values cost ``N`` products.
+    """
     alpha = Fraction(num2, 2)
-    out = Fraction(1)
-    for k in range(n):
-        out *= (alpha - k) / (k + 1)
-    return out
+    with _BINOMIAL_LOCK:
+        values = _binomial_memo(num2)
+        while len(values) <= n:
+            k = len(values) - 1
+            values.append(values[k] * (alpha - k) / (k + 1))
+        return values[n]
 
 
 @functools.lru_cache(maxsize=None)

@@ -226,7 +226,9 @@ class AlgebraInstance(ABC):
     # derived operations
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        # one pass, equal bit for bit to add(x, neg(y)) for the entrywise
+        # add and neg above; an instance overriding either overrides this
+        return x - y
 
     def distance(self, x, y) -> NormValue:
         return self.norm(self.sub(x, y))

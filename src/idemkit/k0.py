@@ -37,6 +37,9 @@ from .instances import (
 #: tolerance at which a rounded trace still counts as the integer rank
 RANK_TOL = 1e-6
 
+#: seed of the Gaussian sketch whose image spans an idempotent's range
+_SKETCH_SEED = 0x1DE
+
 
 @dataclass(frozen=True)
 class IdempotentClass:
@@ -116,8 +119,9 @@ def are_equivalent(
 
     "yes" comes with a certified conjugating unit, obtained either by
     proximity (when ``2*norm(e)*norm(e-f) + norm(e-f)**2 < 1``) or, on
-    complex matrix algebras, by an explicit basis-matching unit between
-    idempotents of equal rank.  "no" comes with the differing class keys.
+    complex matrix algebras, by an explicit frame-matching unit between
+    idempotents of equal rank: one QR per idempotent, no SVD
+    (:func:`_matrix_conjugator`).  "no" comes with the differing class keys.
     "unknown" is returned when neither route applies.
     """
     try:
@@ -144,22 +148,47 @@ def _matrix_conjugator(
     rank: int,
     tol: float,
 ) -> CertifiedUnit:
-    """Explicit unit between equal-rank idempotents from range/kernel bases."""
-    n = instance.n
-    eye = np.eye(n, dtype=complex)
+    """Explicit unit between equal-rank idempotents: one QR per idempotent, no SVD.
 
-    def basis(p):
-        # columns: basis of range(p) then basis of range(1 - p)
-        left = np.linalg.svd(np.asarray(p))[0][:, :rank]
-        right = np.linalg.svd(eye - np.asarray(p))[0][:, : n - rank]
-        return np.hstack([left, right])
-
-    we, wf = basis(e.e), basis(f.e)
-    u = we @ np.linalg.inv(wf)
-    u_inv = wf @ np.linalg.inv(we)
+    Each idempotent ``p`` gets a unitary frame ``q`` (:func:`_frame`) in
+    which ``q* p q = [[1, x], [0, 0]]``, so ``w = q [[1, -x], [0, 1]]``
+    satisfies ``p w = w diag(1_r, 0)`` and has the explicit inverse
+    ``[[1, x], [0, 1]] q*``.  The unit ``we wf^-1`` is therefore
+    ``qe [[1, xf - xe], [0, 1]] qf*``, and its inverse is the same with
+    ``e`` and ``f`` swapped; no linear system is solved.  The frame algebra
+    is plain numpy, so the only instance products are the certificate's.
+    """
+    g = np.random.default_rng(_SKETCH_SEED).standard_normal((instance.n, rank))
+    (qe, xe), (qf, xf) = _frame(e.e, g), _frame(f.e, g)
+    d = xf - xe
+    u = _shear(qe, d) @ qf.conj().T
+    u_inv = _shear(qf, -d) @ qe.conj().T
     cert = instance.certificate()
     certify_unit(instance, cert, e.e, f.e, u, u_inv, tol)
     return CertifiedUnit(u, u_inv, cert)
+
+
+def _frame(p, g):
+    """Unitary ``q`` whose first ``r`` columns span ``range(p)``, and
+    ``x = q1* p q2``.
+
+    ``q`` is the complete QR factor of the sketch ``p g`` (``g`` real
+    Gaussian, ``n x r``), whose columns span ``range(p)`` with probability
+    one; the last ``n - r`` columns are orthogonal to ``range(p)``, so the
+    bottom row of ``q* p q`` vanishes and ``q1* p q1 = 1``.
+    """
+    q = np.linalg.qr(p @ g, mode="complete")[0]
+    r = g.shape[1]
+    # multi_dot picks the cheaper order: about r n^2 or (n - r) n^2 multiply-adds
+    return q, np.linalg.multi_dot([q[:, :r].conj().T, p, q[:, r:]])
+
+
+def _shear(q, d):
+    """``q [[1, d], [0, 1]]`` for an ``r x (n - r)`` block ``d``."""
+    r = d.shape[0]
+    out = q.copy()
+    out[:, r:] += q[:, :r] @ d
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Certified inversion, proximity conjugation and idempotent polishing."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from idemkit import calculus
 from idemkit.calculus import (
     catalan,
     certify_idempotent,
@@ -234,6 +237,50 @@ def test_printed_coefficients_match_rational_binomial_oracle():
 def test_corrected_coefficients_are_integers_and_halved_central_binomials():
     for n in range(1, 65):
         assert corrected_coefficient(n) == (-1) ** n * math.comb(2 * n, n) // 2
+
+
+def _clear_coefficient_caches():
+    for fn in vars(calculus).values():
+        if callable(getattr(fn, "cache_clear", None)):
+            fn.cache_clear()
+
+
+def test_coefficients_from_cleared_caches_match_closed_forms():
+    try:
+        _clear_coefficient_caches()
+        for n in range(1, 601):
+            assert printed_coefficient(n) == (-1) ** (n - 1) * catalan(n - 1)
+            assert corrected_coefficient(n) == (-1) ** n * math.comb(2 * n, n) // 2
+        # a cold call far past the cache is a loop, not a deep recursion
+        _clear_coefficient_caches()
+        assert printed_coefficient(3000) == -catalan(2999)
+        assert corrected_coefficient(3000) == math.comb(6000, 3000) // 2
+    finally:
+        _clear_coefficient_caches()
+
+
+def test_coefficient_memo_under_concurrent_callers():
+    orders = [np.random.default_rng(seed).permutation(np.arange(1, 301)).tolist() for seed in range(8)]
+    results = [None] * len(orders)
+
+    def work(i):
+        results[i] = {n: printed_coefficient(n) for n in orders[i]}
+
+    interval = sys.getswitchinterval()
+    try:
+        _clear_coefficient_caches()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        _clear_coefficient_caches()
+    for got in results:
+        assert got == {n: (-1) ** (n - 1) * catalan(n - 1) for n in range(1, 301)}
 
 
 # ---------------------------------------------------------------------------

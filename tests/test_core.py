@@ -17,7 +17,7 @@ from idemkit.core import (
     tensor_norm_int,
 )
 from idemkit.errors import ConfigError
-from idemkit.instances import COMPLEX, MatrixAlgebra
+from idemkit.instances import COMPLEX, MatrixAlgebra, SampledFunctionAlgebra, SequenceAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +188,44 @@ def test_int_scale_matches_repeated_addition():
     assert inst.int_scale(5, x).tolist() == [[5, 10], [15, 20]]
     assert np.array_equal(inst.int_scale(0, x), inst.zero())
     assert inst.int_scale(-2, x).tolist() == [[-2, -4], [-6, -8]]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype == object:
+        return all(type(u) is type(v) and u == v for u, v in zip(a.flat, b.flat))
+    return a.tobytes() == b.tobytes()
+
+
+def _fractions(rng, shape):
+    values = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(np.prod(shape))]
+    return np.array(values, dtype=object).reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        COMPLEX,
+        MatrixAlgebra(COMPLEX, 5),
+        MatrixAlgebra(COMPLEX, 5, "spectral"),
+        MatrixAlgebra(ScaledIntegers(Fraction(1, 2)), 3),
+        MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 3),
+        SequenceAlgebra("l1", 6, COMPLEX),
+        SampledFunctionAlgebra(range(5), COMPLEX),
+    ],
+    ids=["complex", "col-l1", "spectral", "scaled-fractions", "nested", "l1-sequence", "functions"],
+)
+def test_sub_equals_add_of_neg_bit_for_bit(inst):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        if inst.dtype == object:
+            x, y = _fractions(rng, inst.shape), _fractions(rng, inst.shape)
+        else:
+            x, y = inst.random_element(rng), inst.random_element(rng)
+            if inst.shape:
+                # signed zeros and equal entries, where a sign slip would show
+                x.flat[0], y.flat[0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+                x.flat[-1] = y.flat[-1]
+        assert _same_bits(inst.sub(x, y), inst.add(x, inst.neg(y)))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idemkit.calculus import certify_idempotent
+from idemkit.calculus import certify_idempotent, conjugation_bound
 from idemkit.errors import ConfigError
 from idemkit.instances import (
     COMPLEX,
@@ -19,6 +19,7 @@ from idemkit.instances import (
     random_unit,
 )
 from idemkit.k0 import (
+    _matrix_conjugator,
     are_equivalent,
     classify,
     direct_sum,
@@ -26,6 +27,8 @@ from idemkit.k0 import (
     k0_of_instance,
     normalized_trace_key,
 )
+
+from test_calculus import _CountingMatrices
 
 M2 = MatrixAlgebra(COMPLEX, 2)
 
@@ -145,6 +148,70 @@ def test_random_equal_rank_pairs_get_certified_units():
         res = are_equivalent(inst, _cert(inst, e), _cert(inst, f))
         assert res.verdict == "yes"
         assert res.unit.cert.valid
+
+
+CONJUGATOR_ENTRIES = ["intertwine", "residual-left", "residual-right"]
+
+
+def _assert_conjugator_cert(unit, bound=None):
+    assert unit.cert.valid
+    assert [entry.name for entry in unit.cert.entries] == CONJUGATOR_ENTRIES
+    if bound is not None:
+        assert max(entry.lhs for entry in unit.cert.entries) <= bound
+
+
+@pytest.mark.parametrize("norm_kind", ["col-l1", "spectral"])
+@pytest.mark.parametrize("spread", [0.4, 0.5])
+def test_far_pairs_get_units_with_tiny_residuals(norm_kind, spread):
+    rng = np.random.default_rng(37)
+    for n in (2, 3, 4, 5, 8, 16, 32, 64):
+        inst = MatrixAlgebra(COMPLEX, n, norm_kind)
+        for rank in range(n + 1) if n <= 8 else (0, 1, n // 2, n - 1, n):
+            e, f = (_cert(inst, conjugated_projector(inst, rank, rng, spread)) for _ in range(2))
+            _assert_conjugator_cert(_matrix_conjugator(inst, e, f, rank, 1e-9), 1e-11)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_swapped_coordinate_projectors(n):
+    inst = MatrixAlgebra(COMPLEX, n)
+    for rank in (1, n // 2):
+        e = np.diag(np.arange(n) < rank).astype(complex)
+        f = e[::-1, ::-1].copy()
+        res = are_equivalent(inst, _cert(inst, e), _cert(inst, f))
+        assert res.verdict == "yes"
+        _assert_conjugator_cert(res.unit, 1e-11 if n <= 64 else None)
+        # orthogonal projectors have x = 0 in their frames, so u is unitary
+        assert np.allclose(res.unit.u_inv, res.unit.u.conj().T, rtol=0, atol=1e-12)
+
+
+def test_ranks_zero_and_full_called_directly():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 64):
+        inst = MatrixAlgebra(COMPLEX, n)
+        for rank in (0, n):
+            e, f = (_cert(inst, conjugated_projector(inst, rank, rng, 0.5)) for _ in range(2))
+            unit = _matrix_conjugator(inst, e, f, rank, 1e-9)
+            _assert_conjugator_cert(unit, 1e-11)
+            if rank == 0:
+                assert np.array_equal(unit.u, np.eye(n)) and np.array_equal(unit.u_inv, np.eye(n))
+
+
+def test_far_route_needs_no_svd_inverse_or_solve(monkeypatch):
+    inst = _CountingMatrices(64)
+    rng = np.random.default_rng(43)
+    e, f = (_cert(inst, conjugated_projector(inst, 20, rng, 0.5)) for _ in range(2))
+    assert conjugation_bound(inst.norm(e.e), inst.distance(e.e, f.e)) >= 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the far route must not factor or invert")
+
+    for name in ("svd", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    inst.products = 0
+    res = are_equivalent(inst, e, f)
+    assert inst.products == 4
+    assert res.verdict == "yes"
+    _assert_conjugator_cert(res.unit, 1e-11)
 
 
 # ---------------------------------------------------------------------------
