@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,8 +72,11 @@ class ExperimentConfig:
         for name in ("instance", "tower"):
             if not isinstance(getattr(self, name), (dict, type(None))):
                 raise ConfigError(f"the {name} descriptor must be a JSON object")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (isinstance(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        # h_bound(eps) is defined only below 1/4; one range serves both directions
+        if not (isinstance(self.eps, (int, float)) and 0 < self.eps < 0.25):
+            raise ConfigError(f"eps must satisfy 0 < eps < 1/4, got {self.eps!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
 
@@ -208,6 +212,10 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
 #: per segment end (17 on the rotation path), 16 MB each at n = 1024
 MAX_PATH_N = 1024
 
+#: largest norm-audit sample count: the audit writes 2 * (samples + 2)**2
+#: triangle and submultiplicativity entries, 8,712 at 64
+MAX_AUDIT_SAMPLES = 64
+
 
 def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
     if config.n > MAX_PATH_N:
@@ -223,7 +231,6 @@ def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
     report["path"] = {
         "kind": config.path,
         "n": config.n,
-        "segments": int(unit.cert.entry("segments").lhs),
         "note": (
             "certifies class constancy along the path by composing proximity "
             "conjugations; splitting the path ring itself into restriction "
@@ -254,6 +261,10 @@ def _run_collapse(config: ExperimentConfig, report: dict) -> None:
 
 
 def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
+    if not 0 <= config.samples <= MAX_AUDIT_SAMPLES:
+        raise ConfigError(
+            f"norm-audit --samples must be between 0 and {MAX_AUDIT_SAMPLES}, got {config.samples}"
+        )
     inst = parse_instance(config.instance or {"kind": "complex"})
     rng = np.random.default_rng(config.seed)
     samples = [inst.one(), inst.zero()] + [

@@ -220,14 +220,8 @@ class SwindleReport:
         return self.cert.valid
 
     def to_json(self) -> dict:
-        return {
-            "support": self.support,
-            "collisions": self.collisions,
-            "roundtrip_failures": self.roundtrip_failures,
-            "conjugation_mismatches": self.conjugation_mismatches,
-            "checked_columns": self.checked_columns,
-            "valid": self.valid,
-        }
+        """The check's inputs; the counts and verdict live in ``cert``."""
+        return {"support": self.support, "checked_columns": self.checked_columns}
 
 
 def _dyadic_pair(i: int, j: int) -> int:

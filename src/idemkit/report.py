@@ -1,8 +1,12 @@
 """Deterministic report rendering (JSON and delimited CSV).
 
 A report is a dictionary of JSON values except for ``"certificates"``, a
-list of ``(name, Certificate)`` pairs.  The renderers here are the only
-code that serializes those certificates.
+list of ``(name, Certificate)`` pairs.  Every certificate fact, an entry's
+value or a validity verdict, appears only in that list; the one exception
+is ``"summary"``.  The other blocks hold each command's inputs and its
+non-certificate results, so the CSV, which renders only the list, leaves
+out no certificate.  The renderers here are the only code that serializes
+those certificates.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import csv
 import io
 import json
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def render_json(report: dict) -> bytes:

@@ -143,10 +143,10 @@ def test_criterion_06_colimit_transfer_round_trips():
     start = time.monotonic()
     uhf = ik.k0_colimit_compare(ik.make_uhf_tower(6), 100, seed=106)
     assert uhf.mismatches == 0
+    certificates = dict(uhf.certificates)
     for record in uhf.records:
-        entries = {e["name"]: e for e in record["transfer_certificate"]}
-        entry = entries["surjective-transfer"]
-        assert entry["lhs"] <= entry["rhs"]
+        entry = certificates[f"transfer[{record['trial']}]"].entry("surjective-transfer")
+        assert entry.lhs <= entry.rhs
         assert Fraction(record["key_in"]) == Fraction(record["key_out"])
     cantor = ik.k0_colimit_compare(ik.make_cantor_tower(8), 100, seed=106)
     assert cantor.mismatches == 0

@@ -33,7 +33,7 @@ def test_k0_on_matrix_reports_z(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["k0"]["group"] == "Z"
-    assert report["schema"] == 1
+    assert report["schema"] == 2
 
 
 def test_k0_on_uhf_tower_reports_dyadic(tmp_path):
@@ -166,7 +166,9 @@ def test_collapse_and_path_commands(tmp_path):
     out = tmp_path / "p.json"
     assert main(["path-trivialize", "--n", "2", "--path", "rotation", "--tol", "1e-8", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["path"]["segments"] >= 1
+    [cert] = report["certificates"]
+    segments = {e["name"]: e for e in cert["entries"]}["segments"]
+    assert cert["name"] == "trivialization" and segments["lhs"] >= 1
 
 
 def test_build_report_contains_config_echo():
@@ -281,6 +283,26 @@ def test_huge_n_exits_one_before_allocating(command, n, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["lift", "--tol", "inf"], id="tol-inf"),
+        pytest.param(["lift", "--tol", "nan"], id="tol-nan"),
+        pytest.param(["transfer", "--direction", "inj", "--eps", "1e300"], id="eps-1e300"),
+        pytest.param(["transfer", "--direction", "inj", "--eps", "nan"], id="eps-nan"),
+        pytest.param(["transfer", "--direction", "sur", "--eps", "0.25"], id="eps-quarter"),
+        pytest.param(["transfer", "--eps", "0"], id="eps-0"),
+        pytest.param(["norm-audit", "--samples", "65"], id="samples-65"),
+        pytest.param(["norm-audit", "--samples", "-1"], id="samples-negative"),
+    ],
+)
+def test_vacuous_or_oversized_knobs_exit_one_with_one_line(args, capsys):
+    assert main([*args, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+
+
 def test_k0_on_functions_samples_bit_vectors(tmp_path):
     out = tmp_path / "k0f.json"
     assert main(["k0", "--instance", '{"kind":"functions","points":4}', "--out", str(out)]) == 0
@@ -313,3 +335,43 @@ def test_readme_command_exits_as_documented(line, tmp_path):
     argv = shlex.split(line, comments=True)[1:]
     expected = 2 if "exits 2" in comment else 0
     assert main([*argv, "--out", str(tmp_path / "report.out")]) == expected
+
+
+def _outside_certificates(node):
+    """Every JSON object of a report that is not inside its certificate list."""
+    if isinstance(node, dict):
+        yield node
+        for key, value in node.items():
+            if key != "certificates":
+                yield from _outside_certificates(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _outside_certificates(value)
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_reports_write_each_certificate_once(line, tmp_path):
+    """Certificate entries appear only in the certificate list, and the CSV
+    rows are exactly the JSON certificates' entries, in order."""
+    argv = shlex.split(line, comments=True)[1:]
+    main([*argv, "--out", str(tmp_path / "r.json")])
+    main([*argv, "--format", "csv", "--out", str(tmp_path / "r.csv")])
+    report = json.loads((tmp_path / "r.json").read_text())
+    for obj in _outside_certificates(report):
+        assert not {"name", "lhs", "rhs"} <= obj.keys(), obj
+    rows = list(csv.reader((tmp_path / "r.csv").read_text().splitlines()))[1:]
+    assert [(row[0], row[1]) for row in rows] == [
+        (cert["name"], entry["name"])
+        for cert in report["certificates"]
+        for entry in cert["entries"]
+    ]
+
+
+def test_transfer_csv_lists_every_unit_certificate(tmp_path):
+    out = tmp_path / "sur.csv"
+    argv = ["transfer", "--direction", "sur", "--trials", "3", "--format", "csv"]
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    for i in range(3):
+        entries = {entry for name, entry, *_ in rows if name == f"unit[{i}]"}
+        assert {"intertwine", "residual-left"} <= entries

@@ -140,7 +140,7 @@ def test_swindle_support_bounds():
 def test_swindle_report_serializes():
     report = swindle_conjugator(16)
     blob = report.to_json()
-    assert blob["valid"] and blob["support"] == 16
+    assert report.cert.valid and blob == {"support": 16, "checked_columns": 16}
 
 
 def test_swindle_report_valid_reads_its_certificate():
