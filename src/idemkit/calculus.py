@@ -2,8 +2,11 @@
 
 The inverse of an element close to 1 is a truncated geometric series with a
 certified tail, evaluated as a product of ``1 + d**(2**i)`` factors; an
-almost-idempotent is polished to a true idempotent.  Two lift variants are
-shipped:
+almost-idempotent is polished to a true idempotent.  Both loops stop on the
+norms of the powers and iterates they compute anyway, which at desk scale
+fall far faster than the a-priori scalar bounds; those bounds still cap
+the loops, so neither ever takes more products than the a-priori count.
+Two lift variants are shipped:
 
 * ``"corrected"`` is the series with a ``(2a - 1)`` prefactor, which sums to
   ``(1 + sign(2a - 1)) / 2``.  It is evaluated by the Newton idempotent
@@ -38,6 +41,8 @@ from .core import AlgebraInstance, Certificate
 from .errors import PreconditionError, SeriesTruncationError
 
 SERIES_HARD_CAP = 10_000
+#: factors ``1 + d**(2**i)`` covering the first ``SERIES_HARD_CAP`` terms
+_NEUMANN_FACTOR_CAP = SERIES_HARD_CAP.bit_length()
 NEWTON_STEP_CAP = 64
 _COEFFICIENT_CHECK_RANGE = 64
 
@@ -157,43 +162,40 @@ def _inverse_sqrt_excess(t: float) -> float:
 def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
     """Invert ``u`` with ``norm(1 - u) < 1`` by a truncated geometric series.
 
-    With ``d = 1 - u`` and ``q = norm(d)``, ``N`` is the smallest index whose
-    geometric tail bound ``q**(N+1) / (1 - q)`` is at most ``tol``.  The
-    inverse is the sum of ``d**k`` for ``k < 2**m``, ``m = N.bit_length()``,
-    computed as the product of ``1 + d**(2**i)`` for ``i < m``: ``2(m-1)``
-    multiplications instead of ``N``.  The certificate records the tail
-    bound ``q**(2**m) / (1 - q)`` (never above the one at ``N``) against
+    With ``d = 1 - u`` and ``q = norm(d)``, the product of ``1 + d**(2**i)``
+    for ``i < f`` is the sum of ``d**k`` for ``k < 2**f``, formed in
+    ``2(f-1)`` multiplications.  It times ``u`` is ``1 - d**(2**f)``, so its
+    distance to the inverse is at most ``r_f / (1 - q)`` for any bound
+    ``r_f`` on ``norm(d**(2**f))``.  Here ``r_0 = q`` and ``r_f`` is
+    ``norm(d**(2**(f-1)))**2``, measured on the power the loop has just
+    formed, or ``r_(f-1)**2`` where that is smaller, so ``r_f <= q**(2**f)``.
+    The loop stops at the first ``f`` whose tail bound is at most ``tol``
+    (``f = 0`` returns 1).  The certificate records that tail bound against
     ``tol`` and both measured residuals against the tail bound.
     """
     one = instance.one()
     d = instance.sub(one, u)
-    q = instance.norm(d)
-    if q >= 1:
+    q = float(instance.norm(d))
+    if not q < 1:
         raise PreconditionError(
-            f"not provably invertible by the geometric series: norm(1 - u) = {q} >= 1"
+            f"not provably invertible by the geometric series: norm(1 - u) = {q} is not below 1"
         )
-    if q == 0:
-        n_factors, tail = 0, 0.0
-    else:
-        qf = float(q)
-        power = qf
-        n_terms = 0
-        while power / (1 - qf) > tol:
-            n_terms += 1
-            power *= qf
-            if n_terms > SERIES_HARD_CAP:
-                raise SeriesTruncationError(
-                    f"geometric series needs more than {SERIES_HARD_CAP} terms"
-                )
-        n_factors = n_terms.bit_length()
-        tail = qf ** (1 << n_factors) / (1 - qf)
-    acc = one
-    if n_factors:
-        acc = instance.add(one, d)
-        pw = d
-        for _ in range(1, n_factors):
+    acc, pw, r, factors = one, d, q, 0
+    tail = q / (1 - q)
+    while tail > tol:
+        if factors == _NEUMANN_FACTOR_CAP:
+            raise SeriesTruncationError(
+                f"geometric series needs more than {_NEUMANN_FACTOR_CAP} factors "
+                f"({SERIES_HARD_CAP} terms) to reach {tol}"
+            )
+        if factors:
             pw = instance.mul(pw, pw)
+            r = min(float(instance.norm(pw)), r * r)
             acc = instance.mul(acc, instance.add(one, pw))
+        else:
+            acc = instance.add(one, d)
+        factors += 1
+        tail = r * r / (1 - q)
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
     cert.add("residual-left", instance.distance(instance.mul(u, acc), one), tail)
@@ -224,11 +226,14 @@ def invertibility_radius(instance: AlgebraInstance, unit: CertifiedUnit) -> floa
 
 def intertwiner(instance: AlgebraInstance, e, f):
     """The element ``e*f + (1-e)*(1-f)``, satisfying ``e*u = e*f = u*f``
-    whenever ``e`` and ``f`` are idempotent."""
-    one = instance.one()
+    whenever ``e`` and ``f`` are idempotent.
+
+    Formed as ``1 - e - f + 2*e*f``, the same element in any ring, in one
+    product.
+    """
     return instance.add(
-        instance.mul(e, f),
-        instance.mul(instance.sub(one, e), instance.sub(one, f)),
+        instance.sub(instance.sub(instance.one(), e), f),
+        instance.int_scale(2, instance.mul(e, f)),
     )
 
 
@@ -333,51 +338,77 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
         if next_bound / (1 - 4 * t) <= tol:
             break
         term_bound = next_bound
-    coefficients = [0] + [coefficient(k) for k in range(1, n + 1)]
+    coefficients = [coefficient(k) for k in range(1, n + 1)]
     return _paterson_stockmeyer(instance, s, coefficients), next_bound / (1 - 4 * t)
 
 
 def _paterson_stockmeyer(instance: AlgebraInstance, s, coefficients):
-    """``sum_n coefficients[n] * s**n`` in about ``2 * sqrt(N)`` products.
+    """``sum_{n=1..N} coefficients[n - 1] * s**n`` in about ``2 * sqrt(N)`` products.
 
-    With ``p = isqrt(N)`` for degree ``N``: ``p - 1`` products for the powers
-    ``s**2 .. s**p``, then Horner in ``s**p`` over blocks of ``p``
-    coefficients, ``N // p`` products (Paterson and Stockmeyer, SIAM J.
-    Comput. 2, 1973).
+    With ``p = isqrt(N)``: ``p - 1`` products for the powers ``s .. s**p``,
+    then Horner in ``s**p`` over the blocks
+    ``sum_{i=1..p} coefficients[k + i - 1] * s**i``, ``k = 0, p, 2p, ...``:
+    ``ceil(N / p) - 1`` products (Paterson and Stockmeyer, SIAM J. Comput.
+    2, 1973).  Each block is accumulated in place: one scaled add per
+    coefficient into the block's sum, not a new sum per coefficient.  Exact
+    instances keep integer coefficients.
     """
-    degree = len(coefficients) - 1
+    degree = len(coefficients)
     p = math.isqrt(degree)
-    powers = [instance.one(), s]
-    for _ in range(2, p + 1):
+    powers = [s]
+    for _ in range(1, p):
         powers.append(instance.mul(powers[-1], s))
     acc = None
-    for start in range(degree - degree % p, -1, -p):
-        if acc is not None:
-            acc = instance.mul(acc, powers[p])
-        for c, w in zip(coefficients[start : start + p], powers):
-            term = instance.int_scale(c, w)
-            acc = term if acc is None else instance.add(acc, term)
+    for start in range((degree - 1) // p * p, -1, -p):
+        block = zip(coefficients[start : start + p], powers)
+        if acc is None:
+            acc = instance.int_scale(*next(block))
+        else:
+            acc = instance.mul(acc, powers[-1])
+        for c, w in block:
+            # int_scale and add of the entrywise ring structure, into the
+            # array this loop owns
+            acc += c * w
     return acc
 
 
-def _newton_steps(t: float, x: float, tol: float) -> tuple[int, float]:
-    """Steps of ``e <- e*e*(3 - 2e)`` from defect ``t`` and ``x = norm(2a - 1)``.
+def _newton_lift(instance: AlgebraInstance, e, e_sq, defect, x: float, tol: float):
+    """Newton steps ``e <- e*e*(3 - 2e)`` from ``e``, given ``e_sq = e*e``,
+    ``defect = norm(e*e - e) < 1/4`` and ``x = norm(2e - 1)``.
 
-    Each step maps a defect ``s`` to ``s*s*(4s - 3)``, so its norm bound goes
-    ``t -> t*t*(3 + 4t)`` (below ``t`` exactly when ``t < 1/4``), and
-    ``2e - 1`` is multiplied by ``1 - 2s``, so ``x -> x*(1 + 2t)``.  The
-    limit ``e`` is the same at every step, within
-    ``x * ((1 - 4t)**-0.5 - 1) / 2`` of the current one.  Returns the first
-    step count where that distance is at most ``tol``, and the distance.
+    With ``y = 2e - 1`` and ``s = e*e - e``, ``y*y = 1 + 4s`` and a step
+    maps ``y`` to ``y*(1 - 2s)``.  So the limit ``(1 + sign(y)) / 2`` is the
+    same at every step, within ``x * ((1 - 4t)**-0.5 - 1) / 2`` of the
+    current ``e`` whenever ``norm(s) <= t``, and a step multiplies the
+    bound ``x`` on ``norm(y)`` by ``1 + 2t``.  Here ``t`` is the defect
+    measured on the ``e*e`` that the next step needs anyway, or the
+    a-priori bound ``t*t*(3 + 4t)`` from the step before where that is
+    smaller.  The loop stops once that distance and the measured defect
+    are both at most ``tol``.  It also stops once the distance from the
+    a-priori bounds alone is at most ``tol``: never later than the
+    a-priori step count, where rounding holds the measured defect above
+    ``tol``.  Returns ``(e, tail_bound, defect)``.
     """
+    three = instance.int_scale(3, instance.one())
+    t = t_prior = float(defect)
+    x_prior = x
     for steps in range(NEWTON_STEP_CAP + 1):
         tail = x * _inverse_sqrt_excess(t) / 2
-        if tail <= tol:
-            return steps, tail
+        if tail <= tol and (
+            defect <= tol or x_prior * _inverse_sqrt_excess(t_prior) / 2 <= tol
+        ):
+            return e, tail, defect
+        if steps == NEWTON_STEP_CAP:
+            break
+        e = instance.mul(e_sq, instance.sub(three, instance.int_scale(2, e)))
+        e_sq = instance.mul(e, e)
+        defect = instance.distance(e_sq, e)
         x *= 1 + 2 * t
+        x_prior *= 1 + 2 * t_prior
         # rounded up to the smallest normal float rather than underflowing
-        # to 0, so the bound stays positive and an upper bound
-        t = max(t * t * (3 + 4 * t), sys.float_info.min)
+        # to 0, so the bounds stay positive and upper bounds
+        t = max(min(float(defect), t * t * (3 + 4 * t)), sys.float_info.min)
+        t_prior = max(t_prior * t_prior * (3 + 4 * t_prior), sys.float_info.min)
     raise SeriesTruncationError(
         f"Newton lift needs more than {NEWTON_STEP_CAP} steps to reach {tol}"
     )
@@ -391,9 +422,12 @@ def lift_idempotent(
     With the defect ``s = a*a - a`` and ``t = norm(s)``:
 
     * ``"corrected"``: ``e = a + (2a - 1) * sum_n corrected_coefficient(n) * s**n``,
-      evaluated by Newton steps ``e <- e*e*(3 - 2e)`` from ``e = a`` until
-      the certified distance to that sum is at most ``tol`` (the step count
-      is fixed from scalars before any product).
+      evaluated by Newton steps ``e <- e*e*(3 - 2e)`` from ``e = a``.  Each
+      step measures the new defect ``norm(e*e - e)`` on the ``e*e`` the
+      next step needs, and the loop stops once that defect and the
+      certified distance to the sum, computed from the measured defects,
+      are both at most ``tol`` (see :func:`_newton_lift`); the last measured
+      defect is the ``defect`` entry.
       Promises ``norm(e*e - e) <= tol``, commutation with ``a``, and
       ``norm(e - a) <= norm(2a - 1) * ((1 - 4t)**-0.5 - 1) / 2``.
     * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``,
@@ -409,30 +443,30 @@ def lift_idempotent(
     """
     if variant not in ("printed", "corrected"):
         raise PreconditionError(f"unknown lift variant {variant!r}")
-    a_sq = instance.mul(a, a)
+    return _lift(instance, a, instance.mul(a, a), variant, tol)
+
+
+def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float) -> CertifiedIdempotent:
+    """:func:`lift_idempotent` of ``a`` given ``a_sq = a*a``."""
     s = instance.sub(a_sq, a)
-    t = float(instance.norm(s))
-    if t >= 0.25:
+    defect = instance.norm(s)
+    t = float(defect)
+    if not t < 0.25:
         raise PreconditionError(f"defect norm(a*a - a) = {t} is not below 1/4")
     x = float(instance.norm(instance.sub(instance.int_scale(2, a), instance.one())))
     if variant == "printed":
         del a_sq  # one n x n array fewer while the series holds its powers
         series, tail = _series_sum(instance, s, t, printed_coefficient, tol)
         e = instance.sub(a, series)
+        defect = instance.distance(instance.mul(e, e), e)
     else:
-        steps, tail = _newton_steps(t, x, tol)
-        three = instance.int_scale(3, instance.one())
-        e, e_sq = a, a_sq
-        for step in range(steps):
-            if step:
-                e_sq = instance.mul(e, e)
-            e = instance.mul(e_sq, instance.sub(three, instance.int_scale(2, e)))
+        e, tail, defect = _newton_lift(instance, a, a_sq, defect, x, tol)
 
     dist = instance.distance(e, a)
     derived = x * _inverse_sqrt_excess(t) / 2
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
-    cert.add("defect", instance.distance(instance.mul(e, e), e), tol)
+    cert.add("defect", defect, tol)
     cert.add(
         "commute",
         instance.distance(instance.mul(e, a), instance.mul(a, e)),

@@ -22,6 +22,7 @@ from .calculus import (
     CertifiedIdempotent,
     CertifiedUnit,
     _inverse_sqrt_excess,
+    _lift,
     certify_idempotent,
     certify_unit,
     conjugating_unit,
@@ -29,7 +30,6 @@ from .calculus import (
     conjugation_threshold,
     h_bound,
     intertwiner,
-    lift_idempotent,
     neumann_inverse,
 )
 from .core import Certificate
@@ -151,17 +151,18 @@ def transfer_surjective(
     for j in range(e.level, tower.depth + 1):
         a_j = tower.push(e.representative, e.level, j)
         inst = tower.levels[j]
-        defect = float(inst.distance(inst.mul(a_j, a_j), a_j))
+        a_sq = inst.mul(a_j, a_j)
+        defect = float(inst.distance(a_sq, a_j))
         if defect + 2 * tail < eps:
-            chosen = (j, a_j, defect)
+            chosen = (j, a_j, a_sq)
             break
     if chosen is None:
         raise TowerTooShallowError(
             f"tower too shallow: no level has defect + 2*tail below eps = {eps}"
         )
-    j, a_j, defect = chosen
+    j, a_j, a_sq = chosen
     inst = tower.levels[j]
-    lifted = lift_idempotent(inst, a_j, "corrected", tol)
+    lifted = _lift(inst, a_j, a_sq, "corrected", tol)
     e_j = lifted.e
 
     dist = float(inst.distance(e_j, a_j)) + tail

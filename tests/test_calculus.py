@@ -25,6 +25,7 @@ from idemkit.calculus import (
     quasi_inverse_mod_ideal,
     scalar_lift_rational,
 )
+from idemkit.core import ScaledIntegers
 from idemkit.errors import PreconditionError, SeriesTruncationError
 from idemkit.instances import (
     COMPLEX,
@@ -503,21 +504,24 @@ def test_neumann_product_form_matches_the_geometric_series():
         d *= q / inst.norm(d)
         u = inst.sub(inst.one(), d)
         unit = neumann_inverse(inst, u, tol)
-        # the series as it was summed before: N terms, tail q**(N+1) / (1 - q)
-        n_terms = 0
-        while q ** (n_terms + 1) / (1 - q) > tol:
-            n_terms += 1
-        powers = [inst.one()]
-        for _ in range(2 ** n_terms.bit_length() - 1):
-            powers.append(inst.mul(powers[-1], d))
-        assert inst.distance(unit.u_inv, sum(powers)) <= 1e-12
-        old = sum(powers[: n_terms + 1])
-        tail = q ** (n_terms + 1) / (1 - q)
+        # the series summed term by term, d**k for k < 2**f, where f is the
+        # first factor count whose bound on norm(d**(2**f)), over 1 - q, is
+        # at most tol: r_0 = q, r_f = min(norm(d**(2**(f-1)))**2, r_(f-1)**2)
+        powers = [inst.one(), d]
+        factors, r = 0, q
+        while r / (1 - q) > tol:
+            factors += 1
+            while len(powers) < 2**factors:
+                powers.append(inst.mul(powers[-1], d))
+            r = min(inst.norm(powers[2 ** (factors - 1)]) ** 2, r * r)
+        series = sum(powers[: 2**factors])
+        assert inst.distance(unit.u_inv, series) <= 1e-12
+        tail = r / (1 - q)
         reference = inst.certificate()
         reference.add("tail-bound", tail, tol)
-        reference.add("residual-left", inst.distance(inst.mul(u, old), inst.one()), tail)
-        reference.add("residual-right", inst.distance(inst.mul(old, u), inst.one()), tail)
-        assert unit.cert.entry("tail-bound").lhs <= tail
+        reference.add("residual-left", inst.distance(inst.mul(u, series), inst.one()), tail)
+        reference.add("residual-right", inst.distance(inst.mul(series, u), inst.one()), tail)
+        assert unit.cert.entry("tail-bound").lhs == pytest.approx(tail, rel=1e-9)
         assert [x.holds for x in unit.cert.entries] == [x.holds for x in reference.entries]
 
 
@@ -566,7 +570,7 @@ def test_neumann_product_count():
     d = inst.random_element(np.random.default_rng(43))
     d *= 0.9 / inst.norm(d)
     u = inst.sub(inst.one(), d)
-    assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= 16
+    assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= 8
 
 
 def test_neumann_never_uses_more_products_than_the_series():
@@ -582,8 +586,130 @@ def test_neumann_never_uses_more_products_than_the_series():
         assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= n_terms + 2
 
 
-@pytest.mark.parametrize("variant, budget", [("corrected", 18), ("printed", 21)])
+@pytest.mark.parametrize("variant, budget", [("corrected", 11), ("printed", 21)])
 def test_lift_product_count_at_defect_0_2(variant, budget):
     inst = _CountingMatrices(16)
     a = _pinned_almost_idempotent(inst, 0.2, seed=53)
     assert _products(inst, lambda: lift_idempotent(inst, a, variant, 1e-10)) <= budget
+
+
+@pytest.mark.parametrize("norm_kind", ["col-l1", "spectral"])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_neumann_inverse_within_its_tail_bound_of_the_direct_inverse(n, norm_kind):
+    inst = MatrixAlgebra(COMPLEX, n, norm_kind)
+    rng = np.random.default_rng(59 + n)
+    for q in (0.05, 0.5, 0.9, 0.99):
+        d = inst.random_element(rng)
+        d *= q / inst.norm(d)
+        u = inst.sub(inst.one(), d)
+        unit = neumann_inverse(inst, u, 1e-9)
+        tail = unit.cert.entry("tail-bound").lhs
+        assert unit.cert.valid and tail <= 1e-9
+        assert inst.distance(unit.u_inv, np.linalg.inv(u)) <= tail + 1e-12
+
+
+@pytest.mark.parametrize("norm_kind", ["col-l1", "spectral"])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_corrected_lift_within_its_tail_bound_of_the_matrix_sign(n, norm_kind):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    inst = MatrixAlgebra(COMPLEX, n, norm_kind)
+    for i, t in enumerate((1e-6, 0.02, 0.1, 0.2, 0.24)):
+        a = random_almost_idempotent(inst, t, seed=61 + i)
+        lifted = lift_idempotent(inst, a, "corrected", 1e-10)
+        tail = lifted.cert.entry("tail-bound").lhs
+        assert lifted.cert.valid and tail <= 1e-10
+        assert lifted.defect <= 1e-10
+        sign = scipy_linalg.signm(2 * a - np.eye(n))
+        assert inst.distance(lifted.e, (np.eye(n) + sign) / 2) <= tail + 1e-12
+
+
+def _a_priori_newton_steps(t, x, tol):
+    """The step count fixed from ``t = norm(a*a - a)`` and ``x = norm(2a - 1)``
+    alone: ``t -> t*t*(3 + 4t)`` and ``x -> x*(1 + 2t)`` per step."""
+    for steps in range(calculus.NEWTON_STEP_CAP + 1):
+        if x * calculus._inverse_sqrt_excess(t) / 2 <= tol:
+            return steps
+        x *= 1 + 2 * t
+        t = max(t * t * (3 + 4 * t), sys.float_info.min)
+    raise AssertionError("no a-priori step count")
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15, 1e-300])
+def test_measured_stops_never_take_more_products_than_the_a_priori_rule(tol):
+    inst = _CountingMatrices(8)
+    rng = np.random.default_rng(67)
+    for q in [0.0, 1e-12, *np.linspace(0.01, 0.99, 25)]:
+        d = inst.random_element(rng)
+        d *= q / inst.norm(d)
+        u = inst.sub(inst.one(), d)
+        n_terms = 0
+        while q and q ** (n_terms + 1) / (1 - q) > tol:
+            n_terms += 1
+        factors = n_terms.bit_length()
+        unit = []
+        products = _products(inst, lambda: unit.append(neumann_inverse(inst, u, tol)))
+        assert products <= 2 * max(factors, 1)
+        assert unit[0].cert.entry("tail-bound").lhs <= tol
+    for i, t in enumerate(np.linspace(0.0, 0.245, 25)):
+        a = random_almost_idempotent(inst, float(t), seed=71 + i)
+        s = inst.norm(inst.sub(inst.mul(a, a), a))
+        x = inst.norm(inst.sub(inst.int_scale(2, a), inst.one()))
+        steps = _a_priori_newton_steps(s, x, tol)
+        lifted = []
+        products = _products(inst, lambda: lifted.append(lift_idempotent(inst, a, "corrected", tol)))
+        assert products <= 2 * steps + 3
+        assert lifted[0].cert.entry("tail-bound").lhs <= tol
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_are_rejected_before_any_product(bad):
+    inst = _CountingMatrices(4)
+    u = inst.one()
+    u[1, 2] = bad
+    inst.products = 0
+    with pytest.raises(PreconditionError, match="not below 1"):
+        neumann_inverse(inst, u, 1e-9)
+    assert inst.products == 0
+    a = random_almost_idempotent(inst, 0.1, seed=73)
+    a[0, 3] = bad
+    inst.products = 0
+    with pytest.raises(PreconditionError, match="not below 1/4"), np.errstate(invalid="ignore"):
+        lift_idempotent(inst, a, "corrected", 1e-10)
+    assert inst.products == 1  # the a*a the defect is measured on
+    with pytest.raises(PreconditionError, match="not below 1"):
+        neumann_inverse(COMPLEX, complex(bad, 0), 1e-9)
+    with pytest.raises(PreconditionError, match="not below 1/4"):
+        lift_idempotent(COMPLEX, complex(bad, 0), "corrected", 1e-10)
+
+
+def test_intertwiner_in_one_product_is_the_two_product_form_exactly():
+    inst = MatrixAlgebra(ScaledIntegers(), 5)
+    rng = np.random.default_rng(79)
+    counting = _CountingMatrices(5)
+    for _ in range(20):
+        e, f = (inst.random_element(rng) for _ in range(2))
+        one = inst.one()
+        two_products = inst.add(inst.mul(e, f), inst.mul(inst.sub(one, e), inst.sub(one, f)))
+        assert np.array_equal(intertwiner(inst, e, f), two_products)
+    x = counting.random_element(rng)
+    assert _products(counting, lambda: intertwiner(counting, x, x)) == 1
+
+
+def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances():
+    inst = MatrixAlgebra(ScaledIntegers(), 3)
+    s = inst.random_element(np.random.default_rng(83))
+    coefficients = [printed_coefficient(k) for k in range(1, 40)]
+    value = calculus._paterson_stockmeyer(inst, s, coefficients)
+    power, expected = s, inst.zero()
+    for c in coefficients:
+        expected = inst.add(expected, inst.int_scale(c, power))
+        power = inst.mul(power, s)
+    assert value.dtype == object and np.array_equal(value, expected)
+    assert all(type(v) is int for v in value.flat)
+
+
+def test_neumann_factor_cap():
+    # norm(d**(2**f)) = 0.9999**(2**f) falls below 1e-13 only at f = 19
+    with pytest.raises(SeriesTruncationError, match="14 factors"):
+        neumann_inverse(COMPLEX, 1e-4 + 0j, 1e-9)
+    assert neumann_inverse(COMPLEX, 0.01 + 0j, 1e-9).cert.valid  # f = 12
