@@ -21,10 +21,11 @@ Two lift variants are shipped:
   0.16), so its defect certificate is expected to be invalid; it is kept so
   that the failure is reproducible data rather than an anecdote.
 
-All series coefficients are integers, computed in exact rational
-arithmetic, cached, and checked for integrality at import time; the
-``corrected`` coefficients remain the reference that
-:func:`scalar_lift_rational` sums.
+All series coefficients are integers: ``2**(2n-1)`` times a binomial
+coefficient of ``1/2`` or ``-1/2``, computed from their closed forms (signed
+Catalan numbers and halved central binomials) with exact integer
+arithmetic, and cached; the ``corrected`` coefficients remain the reference
+that :func:`scalar_lift_rational` sums.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -44,7 +44,6 @@ SERIES_HARD_CAP = 10_000
 #: factors ``1 + d**(2**i)`` covering the first ``SERIES_HARD_CAP`` terms
 _NEUMANN_FACTOR_CAP = SERIES_HARD_CAP.bit_length()
 NEWTON_STEP_CAP = 64
-_COEFFICIENT_CHECK_RANGE = 64
 
 
 @dataclass(frozen=True)
@@ -80,57 +79,19 @@ def certify_idempotent(instance: AlgebraInstance, e, tol: float) -> CertifiedIde
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_memo(num2: int) -> list[Fraction]:
-    """``binom(num2/2, k)`` for ``k = 0, 1, ...``, grown in order by
-    :func:`_binomial_series_coefficient` under ``_BINOMIAL_LOCK``."""
-    return [Fraction(1)]
-
-
-_BINOMIAL_LOCK = threading.Lock()
-
-
-def _binomial_series_coefficient(num2: int, n: int) -> Fraction:
-    """``binom(num2/2, n)`` in exact rationals.
-
-    Extends the memo by the ratio ``binom(a, k + 1) = binom(a, k) * (a - k)
-    / (k + 1)``, one product per new ``k``, in a loop rather than a
-    recursion, so the first ``N`` values cost ``N`` products.
-    """
-    alpha = Fraction(num2, 2)
-    with _BINOMIAL_LOCK:
-        values = _binomial_memo(num2)
-        while len(values) <= n:
-            k = len(values) - 1
-            values.append(values[k] * (alpha - k) / (k + 1))
-        return values[n]
-
-
-@functools.lru_cache(maxsize=None)
 def printed_coefficient(n: int) -> int:
-    """``2**(2n-1) * binom(1/2, n)``; equals ``(-1)**(n-1) * catalan(n-1)``."""
-    c = Fraction(2) ** (2 * n - 1) * _binomial_series_coefficient(1, n)
-    if c.denominator != 1:
-        raise ArithmeticError(f"series coefficient {n} is not an integer: {c}")
-    return c.numerator
+    """``2**(2n-1) * binom(1/2, n)``, which is ``(-1)**(n-1) * catalan(n-1)``."""
+    return (-1) ** (n - 1) * catalan(n - 1)
 
 
 @functools.lru_cache(maxsize=None)
 def corrected_coefficient(n: int) -> int:
-    """``2**(2n-1) * binom(-1/2, n)``; equals ``(-1)**n * binom(2n, n) / 2``."""
-    c = Fraction(2) ** (2 * n - 1) * _binomial_series_coefficient(-1, n)
-    if c.denominator != 1:
-        raise ArithmeticError(f"series coefficient {n} is not an integer: {c}")
-    return c.numerator
+    """``2**(2n-1) * binom(-1/2, n)``, which is ``(-1)**n * binom(2n, n) / 2``."""
+    return (-1) ** n * math.comb(2 * n, n) // 2
 
 
 def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
-
-
-for _n in range(1, _COEFFICIENT_CHECK_RANGE + 1):
-    printed_coefficient(_n)
-    corrected_coefficient(_n)
-del _n
 
 
 def h_bound(t) -> float:

@@ -233,13 +233,6 @@ class AlgebraInstance(ABC):
     def distance(self, x, y) -> NormValue:
         return self.norm(self.sub(x, y))
 
-    def eq(self, x, y, tol: float = 0.0) -> bool:
-        """Equality within tolerance (exactly, when ``tol`` is 0)."""
-        return self.distance(x, y) <= tol
-
-    def from_int(self, k: int):
-        return self.int_scale(k, self.one())
-
     def try_inverse(self, x):
         """Direct inverse where the instance supports one; raises otherwise."""
         raise NotImplementedError(f"{self.kind}: no direct inverse")

@@ -1,15 +1,18 @@
 """Desk-scale shadow of the sequence-space endomorphism ring.
 
-Column-finite operators on the l1 module of countable sequences are stored
-column-sparse, because the operator norm here is a column functional (max
-over columns of the column sum of entry norms) and is then exact for
-sparse data.  The zeroth-entry corner idempotent cuts out an isometric
-copy of the inner ring; the finite collapse certificate shows that at any
-finite truncation the two-sided span of that corner is everything, which
-is exactly why the delooped class is invisible at every finite level; and
-the swindle conjugator is the even/odd interleaving bijection whose
-conjugation identity forces additive invariants of the full operator ring
-to vanish.
+Column-finite operators on the l1 module of countable sequences
+(:class:`EndOperator`, the operator type of the corner and the collapse)
+are stored column-sparse, because the operator norm here is a column
+functional (max over columns of the column sum of entry norms) and is then
+exact for sparse data.  The zeroth-entry corner idempotent cuts out an
+isometric copy of the inner ring; the finite collapse certificate shows
+that at any finite truncation the two-sided span of that corner is
+everything, which is exactly why the delooped class is invisible at every
+finite level; and the swindle conjugator is the even/odd interleaving
+bijection whose conjugation identity forces additive invariants of the full
+operator ring to vanish.  The swindle's operators are shifts with one unit
+entry per column, so its check runs on int64 index arrays rather than on
+operators.
 
 Whether the column norm agrees with the sup-ratio operator norm for every
 inner instance is not assumed (it does when the inner norm is attained on
@@ -21,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .core import AlgebraInstance, Certificate, NormValue, ScaledIntegers
+import numpy as np
+
+from .core import AlgebraInstance, Certificate, NormValue
 from .errors import ConfigError
 from .instances import COMPLEX
 
@@ -66,11 +71,6 @@ class EndOperator:
         value = inner.one() if value is None else value
         return EndOperator.from_columns(inner, {j: ((i, value),)})
 
-    @staticmethod
-    def shift(inner: AlgebraInstance, support: int, offset: int = 1) -> "EndOperator":
-        one = inner.one()
-        return EndOperator(inner, {j: ((j + offset, one),) for j in range(support)})
-
     def compose(self, other: "EndOperator") -> "EndOperator":
         """``self`` after ``other``; column-finite composition."""
         if self.inner is not other.inner and self.inner.describe() != other.inner.describe():
@@ -95,21 +95,22 @@ class EndOperator:
                 out.setdefault(j, []).extend(entries)
         return EndOperator.from_columns(self.inner, out)
 
+    def neg(self) -> "EndOperator":
+        neg = self.inner.neg
+        cols = {j: tuple((i, neg(v)) for i, v in e) for j, e in self.columns.items()}
+        return EndOperator(self.inner, cols)
+
     def entry(self, i: int, j: int):
         for r, v in self.columns.get(j, ()):
             if r == i:
                 return v
         return self.inner.zero()
 
-    def column_norm(self, j: int) -> NormValue:
-        return sum((self.inner.norm(v) for _, v in self.columns.get(j, ())), start=0)
-
 
 def end_norm(op: EndOperator) -> NormValue:
     """Max over nonempty columns of the l1 column sum; exact for sparse data."""
-    if not op.columns:
-        return 0
-    return max(op.column_norm(j) for j in op.columns)
+    norm = op.inner.norm
+    return max((sum((norm(v) for _, v in e), start=0) for e in op.columns.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -173,26 +174,10 @@ def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None)
     )
     total = EndOperator.zero(inner).add(*(a_k.compose(e).compose(b_k) for a_k, b_k in pairs))
     identity = EndOperator.identity(inner, n)
-    deviation = _column_deviation(total, identity)
     cert = Certificate(slack=0.0)
-    cert.add("collapse-identity", deviation, 0)
+    cert.add("collapse-identity", end_norm(total.add(identity.neg())), 0)
     cert.add("corner-norm", end_norm(e), inner.norm(inner.one()))
     return CollapseCertificate(n=n, pairs=pairs, cert=cert)
-
-
-def _column_deviation(a: EndOperator, b: EndOperator) -> NormValue:
-    worst: NormValue = 0
-    for j in set(a.columns) | set(b.columns):
-        da = dict(a.columns.get(j, ()))
-        db = dict(b.columns.get(j, ()))
-        col: NormValue = 0
-        for i in set(da) | set(db):
-            va = da.get(i, a.inner.zero())
-            vb = db.get(i, a.inner.zero())
-            col = col + a.inner.distance(va, vb)
-        if col > worst:
-            worst = col
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +209,19 @@ class SwindleReport:
         return {"support": self.support, "checked_columns": self.checked_columns}
 
 
-def _dyadic_pair(i: int, j: int) -> int:
+def _dyadic_pair(i, j):
     """Pairing ``(i, j) -> 2**i * (2j + 1) - 1``, a bijection onto the naturals."""
     return (1 << i) * (2 * j + 1) - 1
 
 
-def _dyadic_unpair(n: int) -> tuple[int, int]:
-    m = n + 1
-    i = (m & -m).bit_length() - 1
+def _dyadic_unpair(n):
+    """Inverse of :func:`_dyadic_pair`, elementwise on int64 arrays.
+
+    ``i`` is the trailing-zero count of ``m = n + 1``, read from the float
+    exponent of its lowest set bit ``m & -m``, exact below ``2**53``.
+    """
+    m = np.asarray(n, dtype=np.int64) + 1
+    i = np.frexp(m & -m)[1].astype(np.int64) - 1
     return i, ((m >> i) - 1) // 2
 
 
@@ -248,60 +238,48 @@ def swindle_conjugator(support: int) -> SwindleReport:
       the block-diagonal sum of countably many copies of ``y`` under a
       fixed dyadic pairing of index pairs.
 
-    The check is integer index bookkeeping over exact integer entries, so
-    there is no floating error; a nonzero mismatch count means the
-    construction is wrong, not imprecise.
+    ``x`` and ``y`` are the shifts by 1 and by 2, held as int64 arrays: the
+    row and the value of each column's one entry.  The check is integer
+    index bookkeeping over exact integer entries, so there is no floating
+    error; a nonzero mismatch count means the construction is wrong, not
+    imprecise.
     """
     if not 1 <= support <= 2**16:
         raise ConfigError("support must be between 1 and 2**16")
 
-    images = set()
-    collisions = 0
-    roundtrip_failures = 0
-    for k in range(support):
-        for copy in (0, 1):
-            n = 2 * k + copy
-            if n in images:
-                collisions += 1
-            images.add(n)
-            if divmod(n, 2) != (k, copy):
-                roundtrip_failures += 1
+    half = np.arange(support, dtype=np.int64)[:, None]
+    parity = np.arange(2, dtype=np.int64)
+    images = 2 * half + parity
+    collisions = images.size - np.unique(images).size
+    back_half, back_parity = np.divmod(images, 2)
+    roundtrip_failures = int(np.count_nonzero((back_half != half) | (back_parity != parity)))
 
-    inner = ScaledIntegers(1)
-    x = EndOperator.shift(inner, support + 2, offset=1)
-    y = EndOperator.shift(inner, support + 2, offset=2)
+    cols = np.arange(support + 2, dtype=np.int64)
+    x_rows, x_vals = cols + 1, np.ones_like(cols)
+    y_rows, y_vals = cols + 2, np.ones_like(cols)
 
-    def t_column(op: EndOperator, col: int) -> dict[int, int]:
-        i, j = _dyadic_unpair(col)
-        return {_dyadic_pair(i, r): val for r, val in op.columns.get(j, ())}
+    # x (+) T(y) conjugated by the even/odd map: column 2k + copy is column
+    # k of block ``copy`` with each row r moved to 2r + copy
+    col = cols[:support]
+    k, copy = np.divmod(col, 2)
+    i, j = _dyadic_unpair(k)
+    t_rows = _dyadic_pair(i, y_rows[j])
+    conj_rows = np.where(copy == 0, 2 * x_rows[k], 2 * t_rows + 1)
+    conj_vals = np.where(copy == 0, x_vals[k], y_vals[j])
 
-    def conjugated_column(col: int) -> dict[int, int]:
-        k, copy = divmod(col, 2)
-        if copy == 0:
-            return {2 * r: val for r, val in x.columns.get(k, ())}
-        return {2 * r + 1: val for r, val in t_column(y, k).items()}
-
-    def interleaved_column(col: int) -> dict[int, int]:
-        # blocks under the shifted pairing: block 0 is x, blocks >= 1 are y
-        if col % 2 == 0:
-            return {2 * r: val for r, val in x.columns.get(col // 2, ())}
-        i, j = _dyadic_unpair((col - 1) // 2)
-        return {2 * _dyadic_pair(i, r) + 1: val for r, val in y.columns.get(j, ())}
-
-    conjugation_mismatches = 0
-    for col in range(support):
-        if conjugated_column(col) != interleaved_column(col):
-            conjugation_mismatches += 1
+    # the interleaved block form: block 0 is x on the even columns, blocks
+    # >= 1 are y on the odd columns under the shifted pairing
+    even, odd = col[0::2] // 2, (col[1::2] - 1) // 2
+    i, j = _dyadic_unpair(odd)
+    inter_rows, inter_vals = np.empty_like(col), np.empty_like(col)
+    inter_rows[0::2], inter_vals[0::2] = 2 * x_rows[even], x_vals[even]
+    inter_rows[1::2], inter_vals[1::2] = 2 * _dyadic_pair(i, y_rows[j]) + 1, y_vals[j]
+    mismatched = (conj_rows != inter_rows) | (conj_vals != inter_vals)
+    conjugation_mismatches = int(np.count_nonzero(mismatched))
 
     cert = Certificate()
     cert.add("collisions", collisions, 0)
     cert.add("roundtrip-failures", roundtrip_failures, 0)
     cert.add("conjugation-mismatches", conjugation_mismatches, 0)
-    return SwindleReport(
-        support=support,
-        collisions=collisions,
-        roundtrip_failures=roundtrip_failures,
-        conjugation_mismatches=conjugation_mismatches,
-        checked_columns=support,
-        cert=cert,
-    )
+    counts = collisions, roundtrip_failures, conjugation_mismatches
+    return SwindleReport(support, *counts, checked_columns=support, cert=cert)

@@ -235,6 +235,17 @@ def test_printed_coefficients_match_rational_binomial_oracle():
         assert printed_coefficient(n) == value.numerator
 
 
+def test_corrected_coefficients_match_rational_binomial_oracle():
+    # independent recomputation of 2**(2n-1) * binom(-1/2, n)
+    for n in range(1, 65):
+        binom = Fraction(1)
+        for k in range(n):
+            binom *= (Fraction(-1, 2) - k) / (k + 1)
+        value = Fraction(2) ** (2 * n - 1) * binom
+        assert value.denominator == 1
+        assert corrected_coefficient(n) == value.numerator
+
+
 def test_corrected_coefficients_are_integers_and_halved_central_binomials():
     for n in range(1, 65):
         assert corrected_coefficient(n) == (-1) ** n * math.comb(2 * n, n) // 2

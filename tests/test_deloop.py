@@ -7,6 +7,8 @@ from idemkit.core import ScaledIntegers
 from idemkit.deloop import (
     CornerIdempotent,
     EndOperator,
+    _dyadic_pair,
+    _dyadic_unpair,
     end_norm,
     finite_collapse_certificate,
     swindle_conjugator,
@@ -121,13 +123,30 @@ def test_collapse_rejects_bad_size():
 # the swindle
 
 
-def test_swindle_report_valid_at_moderate_support():
-    report = swindle_conjugator(512)
+@pytest.mark.parametrize("support", [1, 2, 3, 512, 2**16])
+def test_swindle_report_valid_at_moderate_support(support):
+    # support 1 has no odd column; 2**16 is the cap
+    report = swindle_conjugator(support)
     assert report.valid
     assert report.collisions == 0
     assert report.roundtrip_failures == 0
     assert report.conjugation_mismatches == 0
-    assert report.checked_columns == 512
+    assert report.checked_columns == support
+    assert all(type(e.lhs) is int for e in report.cert.entries)
+
+
+def _scalar_unpair(n):
+    m = n + 1
+    i = (m & -m).bit_length() - 1
+    return i, ((m >> i) - 1) // 2
+
+
+def test_dyadic_pairing_round_trips_on_arrays():
+    n = np.arange(2**17, dtype=np.int64)
+    i, j = _dyadic_unpair(n)
+    assert i.dtype == j.dtype == np.int64
+    assert np.array_equal(_dyadic_pair(i, j), n)
+    assert list(zip(i.tolist(), j.tolist())) == [_scalar_unpair(k) for k in range(2**17)]
 
 
 def test_swindle_support_bounds():
