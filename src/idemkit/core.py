@@ -167,9 +167,9 @@ class AlgebraInstance(ABC):
     defaults below are entrywise numpy arithmetic, which is the ring
     structure of every scalar instance.  An instance declares
     ``exact = True`` when its arithmetic and norm are exact rationals
-    (``dtype=object`` holding Python ints, norms as ``Fraction``); floating
-    instances carry ``slack``, the absolute tolerance added to certified
-    right-hand sides.
+    (``dtype=object`` holding Python ints, norms as ``int`` or ``Fraction``);
+    floating instances carry ``slack``, the absolute tolerance added to
+    certified right-hand sides.
 
     All operations are pure; instances are immutable after construction and
     safe to share between threads.
@@ -288,7 +288,9 @@ class ScaledIntegers(AlgebraInstance):
 
     A normed abelian group for every ``r``; the ring axioms (unit norm at
     most 1, submultiplicativity) hold together only for ``r = 1``, and the
-    axiom audit flags that honestly.
+    axiom audit flags that honestly.  An integral scale is stored as an
+    ``int``, so norms are Python ints; a fractional one as a ``Fraction``,
+    so norms are ``Fraction``s.  Both render alike in reports.
     """
 
     kind = "scaled-integers"
@@ -300,7 +302,7 @@ class ScaledIntegers(AlgebraInstance):
         r = as_fraction(r)
         if r <= 0:
             raise ConfigError("scale must be positive")
-        self.r = r
+        self.r = r.numerator if r.denominator == 1 else r
         self.is_banach_ring = r == 1
 
     def one(self) -> int:
@@ -312,7 +314,7 @@ class ScaledIntegers(AlgebraInstance):
     def norms(self, x):
         return self.r * np.abs(x)
 
-    def norm(self, x: int) -> Fraction:
+    def norm(self, x: int) -> NormValue:
         return self.r * abs(x)
 
     def random_element(self, rng) -> int:
@@ -381,24 +383,30 @@ def l1_coproduct_norm(components: Sequence[tuple[Any, AlgebraInstance]]) -> Norm
 @functools.lru_cache(maxsize=None)
 def _min_term_cost(b: int) -> dict[int, int]:
     """Min of ``sum |x_i*y_i|`` to write each reachable integer as
-    ``sum x_i*y_i`` with at most ``b`` terms and ``|x_i|, |y_i| <= b``."""
+    ``sum x_i*y_i`` with at most ``b`` terms and ``|x_i|, |y_i| <= b``.
+
+    Brute force by rounds of min-plus relaxation: round ``k`` extends every
+    value reached with fewer than ``k`` terms by every nonzero product,
+    keeping partial sums within ``b**3``, until a round changes nothing.
+    The costs live in an int64 array indexed by ``v + b**3``, with one
+    vectorized update per product; unreached values hold a sentinel.
+    """
     products = sorted({x * y for x in range(-b, b + 1) for y in range(-b, b + 1)} - {0})
     reach = b * b * b
-    best: dict[int, int] = {0: 0}
+    unreached = np.iinfo(np.int64).max // 2
+    best = np.full(2 * reach + 1, unreached, dtype=np.int64)
+    best[reach] = 0
     for _ in range(b):
-        nxt = dict(best)
-        for v, cost in best.items():
-            for p in products:
-                w = v + p
-                if abs(w) > reach:
-                    continue
-                c = cost + abs(p)
-                if c < nxt.get(w, c + 1):
-                    nxt[w] = c
-        if nxt == best:
+        nxt = best.copy()
+        for p in products:
+            # w = v + p for every v with |w| <= reach
+            dst, src = (nxt[p:], best[:-p]) if p > 0 else (nxt[:p], best[-p:])
+            np.minimum(dst, src + abs(p), out=dst)
+        if np.array_equal(nxt, best):
             break
         best = nxt
-    return best
+    (reached,) = np.nonzero(best < unreached)
+    return dict(zip((reached - reach).tolist(), best[reached].tolist()))
 
 
 def tensor_norm_int(m: int, r, s, support_bound: int) -> NormValue:

@@ -188,15 +188,16 @@ def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None)
 class SwindleReport:
     """Counts from an exhaustive swindle check below ``support``.
 
-    ``cert`` holds the three counts as entries ``collisions``,
-    ``roundtrip-failures`` and ``conjugation-mismatches``, each against 0;
-    ``valid`` is its verdict.
+    ``cert`` holds the four counts as entries ``collisions``,
+    ``roundtrip-failures``, ``conjugation-mismatches`` and
+    ``pairing-collisions``, each against 0; ``valid`` is its verdict.
     """
 
     support: int
     collisions: int
     roundtrip_failures: int
     conjugation_mismatches: int
+    pairing_collisions: int
     checked_columns: int
     cert: Certificate
 
@@ -225,6 +226,12 @@ def _dyadic_unpair(n):
     return i, ((m >> i) - 1) // 2
 
 
+def _repeats(values) -> int:
+    """Number of values equal to another one before them: size minus distinct."""
+    ordered = np.sort(values, axis=None)
+    return int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+
+
 def swindle_conjugator(support: int) -> SwindleReport:
     """Verify the interleaving bijection and the swindle identity.
 
@@ -236,7 +243,11 @@ def swindle_conjugator(support: int) -> SwindleReport:
     * conjugating the block operator ``x (+) T(y)`` by it gives exactly the
       infinite-direct-sum form of the interleaved input, where ``T(y)`` is
       the block-diagonal sum of countably many copies of ``y`` under a
-      fixed dyadic pairing of index pairs.
+      fixed dyadic pairing of index pairs;
+    * that pairing sends the distinct index pairs of the odd columns to
+      distinct rows (``pairing-collisions``).  Both sides of the
+      conjugation go through the same pairing, so only this count sees a
+      pairing that is not injective.
 
     ``x`` and ``y`` are the shifts by 1 and by 2, held as int64 arrays: the
     row and the value of each column's one entry.  The check is integer
@@ -250,7 +261,7 @@ def swindle_conjugator(support: int) -> SwindleReport:
     half = np.arange(support, dtype=np.int64)[:, None]
     parity = np.arange(2, dtype=np.int64)
     images = 2 * half + parity
-    collisions = images.size - np.unique(images).size
+    collisions = _repeats(images)
     back_half, back_parity = np.divmod(images, 2)
     roundtrip_failures = int(np.count_nonzero((back_half != half) | (back_parity != parity)))
 
@@ -277,9 +288,12 @@ def swindle_conjugator(support: int) -> SwindleReport:
     mismatched = (conj_rows != inter_rows) | (conj_vals != inter_vals)
     conjugation_mismatches = int(np.count_nonzero(mismatched))
 
+    pairing_collisions = _repeats(t_rows[copy == 1])
+
     cert = Certificate()
     cert.add("collisions", collisions, 0)
     cert.add("roundtrip-failures", roundtrip_failures, 0)
     cert.add("conjugation-mismatches", conjugation_mismatches, 0)
-    counts = collisions, roundtrip_failures, conjugation_mismatches
+    cert.add("pairing-collisions", pairing_collisions, 0)
+    counts = collisions, roundtrip_failures, conjugation_mismatches, pairing_collisions
     return SwindleReport(support, *counts, checked_columns=support, cert=cert)

@@ -4,10 +4,11 @@ Every element is one numpy array whose shape is the container's own axes
 followed by the inner instance's shape: ``(n, n) + inner.shape`` for
 matrices, ``(points,) + inner.shape`` for sampled functions and
 ``(truncation,) + inner.shape`` for sequences.  The dtype is complex128 over
-the complex scalars and ``object`` (Python ints, ``Fraction`` norms) over
-the scaled integers.  Operations accept extra leading batch axes, so a
-container can be another container's inner instance: the products of all
-blocks of a nested matrix are one batched inner call.  The default matrix
+the complex scalars and ``object`` (Python ints) over the scaled integers,
+whose norms are exact: ``int``s for an integral scale, ``Fraction``s
+otherwise.  Operations accept extra leading batch axes, so a container can
+be another container's inner instance: the products of all blocks of a
+nested matrix are one batched inner call.  The default matrix
 norm is the max-column-l1 norm, which realizes matrices as endomorphisms of
 finite l1 powers and is exactly computable; the spectral norm is available
 for complex scalars only.  A sup-norm sequence (descriptor mode ``"linf"``)
@@ -363,16 +364,31 @@ _MAX_GENERATOR_RETRIES = 64
 
 
 def random_unit(instance: MatrixAlgebra, rng, spread: float = 1.0):
-    """Random well-conditioned invertible matrix (complex scalars only)."""
+    """Random well-conditioned invertible matrix (complex scalars only).
+
+    A draw is accepted when its spectral condition number is below 1e3.
+    Since ``cond_2(s) <= norm_F(s) * norm_F(inv(s))``, a Frobenius product
+    below 0.999e3 decides acceptance without an SVD; only draws at or above
+    that cut pay for ``np.linalg.cond``.  Accepts and rejects are those of
+    the condition-number rule alone, so the seeded stream is unchanged.
+    """
     if not (isinstance(instance, MatrixAlgebra) and over_complex(instance)):
         raise ConfigError("random units need complex matrices")
-    n = instance.n
+    return _draw_unit(instance.n, rng, spread)[0]
+
+
+def _draw_unit(n: int, rng, spread: float):
+    """``(s, inv(s))`` for the next accepted draw of :func:`random_unit`."""
     for _ in range(_MAX_GENERATOR_RETRIES):
         s = np.eye(n, dtype=complex) + spread * (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ) / max(1.0, math.sqrt(n))
-        if np.linalg.cond(s) < 1e3:
-            return s
+        try:
+            s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            continue
+        if np.linalg.norm(s) * np.linalg.norm(s_inv) < 0.999e3 or np.linalg.cond(s) < 1e3:
+            return s, s_inv
     raise IdemkitError("failed to draw a well-conditioned unit")
 
 
@@ -386,8 +402,8 @@ def conjugated_projector(instance: MatrixAlgebra, rank: int, rng, spread: float 
     d = np.zeros((n, n), dtype=complex)
     idx = rng.permutation(n)[:rank]
     d[idx, idx] = 1.0
-    s = random_unit(instance, rng, spread)
-    return s @ d @ np.linalg.inv(s)
+    s, s_inv = _draw_unit(n, rng, spread)
+    return s @ d @ s_inv
 
 
 def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
@@ -412,18 +428,20 @@ def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
         # grow the scale until the defect band is bracketed, then bisect
         lo, hi = 0.0, t / 4
         for _ in range(60):
-            if defect(base + hi * p) >= t / 2:
+            d = defect(base + hi * p)
+            if d >= t / 2:
                 break
             lo, hi = hi, 2 * hi
         else:
             continue
+        # d is always the defect at hi: each scale is measured once
         for _ in range(200):
-            d = defect(base + hi * p)
             if t / 2 <= d <= t:
                 return base + hi * p
             mid = (lo + hi) / 2
-            if defect(base + mid * p) >= t / 2:
-                hi = mid
+            d_mid = defect(base + mid * p)
+            if d_mid >= t / 2:
+                hi, d = mid, d_mid
             else:
                 lo = mid
     raise IdemkitError("could not reach the requested defect band")

@@ -7,25 +7,29 @@ benchmark run, so these tests name them all.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from idemkit import calculus, core
 from idemkit.core import AlgebraInstance, Certificate
 from idemkit.deloop import EndOperator
 from idemkit.instances import Tower
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("idemkit_bench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"idemkit_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracer.FUNCTIONS])
@@ -51,3 +55,13 @@ def test_tracer_installs_and_restores_every_hook():
     finally:
         t.uninstall()
     assert (Tower.push, Certificate.add, EndOperator.compose) == originals
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [core._min_term_cost, calculus.printed_coefficient, calculus.corrected_coefficient],
+    ids=lambda fn: fn.__name__,
+)
+def test_benchmark_clears_the_memo_cache(cached):
+    # a cache missing here would let cli-readme time a warm table
+    assert any(fn is cached for fn in workloads.MEMO_CACHES)

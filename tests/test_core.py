@@ -12,6 +12,7 @@ from idemkit.core import (
     Element,
     GROUP_AXIOM_PREFIXES,
     ScaledIntegers,
+    _min_term_cost,
     check_norm_axioms,
     l1_coproduct_norm,
     tensor_norm_int,
@@ -160,6 +161,34 @@ def test_tensor_norm_rejects_zero_bound():
         tensor_norm_int(1, 1, 1, 0)
 
 
+def _dict_min_term_cost(b):
+    """The table as rounds over a dict of reached values: the reference."""
+    products = sorted({x * y for x in range(-b, b + 1) for y in range(-b, b + 1)} - {0})
+    reach = b * b * b
+    best = {0: 0}
+    for _ in range(b):
+        nxt = dict(best)
+        for v, cost in best.items():
+            for p in products:
+                w = v + p
+                if abs(w) > reach:
+                    continue
+                c = cost + abs(p)
+                if c < nxt.get(w, c + 1):
+                    nxt[w] = c
+        if nxt == best:
+            break
+        best = nxt
+    return best
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_min_term_cost_table_matches_dict_reference(b):
+    table = _min_term_cost(b)
+    assert table == _dict_min_term_cost(b)
+    assert all(type(k) is int and type(v) is int for k, v in table.items())
+
+
 # ---------------------------------------------------------------------------
 # scaled integers and the element wrapper
 
@@ -169,6 +198,27 @@ def test_scaled_integers_norm_zero_iff_zero(n):
     inst = ScaledIntegers(Fraction(3, 7))
     assert (inst.norm(n) == 0) == (n == 0)
     assert inst.norm(n) == Fraction(3, 7) * abs(n)
+
+
+def test_integral_scale_norms_are_ints_equal_to_fractions():
+    for r in (1, 3, Fraction(6, 2), "2"):
+        inst = ScaledIntegers(r)
+        scale = Fraction(r)
+        assert type(inst.r) is int and inst.r == scale
+        for x in (-7, 0, 5):
+            assert type(inst.norm(x)) is int and inst.norm(x) == scale * abs(x)
+    m = MatrixAlgebra(ScaledIntegers(3), 2)
+    x = np.array([[1, -2], [3, 4]], dtype=object)
+    assert type(m.norm(x)) is int and m.norm(x) == Fraction(3) * 6
+    assert ScaledIntegers(3).describe() == {"kind": "scaled-integers", "r": 3}
+
+
+def test_fractional_scale_norms_stay_fractions():
+    inst = ScaledIntegers("1/2")
+    assert inst.norm(3) == Fraction(3, 2) and type(inst.norm(3)) is Fraction
+    m = MatrixAlgebra(inst, 2)
+    x = np.array([[1, -2], [4, 4]], dtype=object)
+    assert type(m.norm(x)) is Fraction and m.norm(x) == 3
 
 
 def test_element_wrapper_arithmetic():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from idemkit import deloop
 from idemkit.core import ScaledIntegers
 from idemkit.deloop import (
     CornerIdempotent,
@@ -149,6 +150,16 @@ def test_dyadic_pairing_round_trips_on_arrays():
     assert list(zip(i.tolist(), j.tolist())) == [_scalar_unpair(k) for k in range(2**17)]
 
 
+def test_swindle_certificate_catches_a_non_injective_pairing(monkeypatch):
+    # both conjugation routes share the pairing, so only its own count sees this
+    pair = deloop._dyadic_pair
+    monkeypatch.setattr(deloop, "_dyadic_pair", lambda i, j: pair(i, j) + (i == 3))
+    report = swindle_conjugator(4096)
+    assert report.conjugation_mismatches == 0
+    assert report.pairing_collisions > 0
+    assert not report.valid
+
+
 def test_swindle_support_bounds():
     with pytest.raises(ConfigError):
         swindle_conjugator(0)
@@ -164,8 +175,13 @@ def test_swindle_report_serializes():
 
 def test_swindle_report_valid_reads_its_certificate():
     report = swindle_conjugator(64)
-    assert report.cert.names() == ["collisions", "roundtrip-failures", "conjugation-mismatches"]
-    assert [e.lhs for e in report.cert.entries] == [0, 0, 0]
+    assert report.cert.names() == [
+        "collisions",
+        "roundtrip-failures",
+        "conjugation-mismatches",
+        "pairing-collisions",
+    ]
+    assert [e.lhs for e in report.cert.entries] == [0, 0, 0, 0]
     assert report.valid and report.cert.valid
 
 

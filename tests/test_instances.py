@@ -20,6 +20,7 @@ from idemkit.instances import (
     parse_instance,
     parse_tower,
     random_almost_idempotent,
+    random_unit,
     registered_instances,
 )
 
@@ -248,6 +249,76 @@ def test_tower_depth_bounds():
 
 # ---------------------------------------------------------------------------
 # seeded generators
+
+
+def _cond_only_unit(n, rng, spread):
+    """The unit draw deciding by the spectral condition number alone."""
+    for _ in range(64):
+        s = np.eye(n, dtype=complex) + spread * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ) / max(1.0, np.sqrt(n))
+        if np.linalg.cond(s) < 1e3:
+            return s
+    raise AssertionError("no well-conditioned draw")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("spread", [0.4, 1, 3, 10])
+def test_random_unit_matches_condition_number_rule(n, spread):
+    inst = MatrixAlgebra(COMPLEX, n)
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(random_unit(inst, rng, spread), _cond_only_unit(n, ref_rng, spread))
+        assert rng.random() == ref_rng.random()
+
+
+def test_random_unit_frobenius_cut_falls_back_to_cond(monkeypatch):
+    # this draw's Frobenius product is at the cut, its condition number below 1e3
+    cond_calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda s: cond_calls.append(1) or cond(s))
+    s = random_unit(MatrixAlgebra(COMPLEX, 32), np.random.default_rng(24), 3)
+    monkeypatch.undo()
+    assert cond_calls == [1]
+    assert np.array_equal(s, _cond_only_unit(32, np.random.default_rng(24), 3))
+
+
+class _QueuedNormals:
+    """A generator stand-in returning listed arrays from ``standard_normal``."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        return self.arrays.pop(0)
+
+
+def test_random_unit_retries_singular_and_ill_conditioned_draws():
+    zero = np.zeros((2, 2))
+    singular = np.array([[0.0, np.sqrt(2)], [np.sqrt(2), 0.0]])  # s = [[1, 1], [1, 1]]
+    ill = singular + np.array([[0.0, 0.0], [0.0, 1e-6]])
+    draws = [singular, zero, ill, zero, zero, zero]
+    rng, ref_rng = _QueuedNormals(draws), _QueuedNormals(draws)
+    s = random_unit(MatrixAlgebra(COMPLEX, 2), rng, 1.0)
+    assert np.array_equal(s, _cond_only_unit(2, ref_rng, 1.0))
+    assert np.array_equal(s, np.eye(2)) and rng.arrays == []
+
+
+def test_conjugated_projector_needs_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    inst = MatrixAlgebra(COMPLEX, 64)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    e = conjugated_projector(inst, 20, np.random.default_rng(3), spread=0.4)
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    d = np.zeros((64, 64), dtype=complex)
+    idx = rng.permutation(64)[:20]
+    d[idx, idx] = 1.0
+    s = _cond_only_unit(64, rng, 0.4)
+    assert np.array_equal(e, s @ d @ np.linalg.inv(s))
 
 
 def test_random_almost_idempotent_band_contract():
