@@ -132,11 +132,16 @@ def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
     formed, or ``r_(f-1)**2`` where that is smaller, so ``r_f <= q**(2**f)``.
     The loop stops at the first ``f`` whose tail bound is at most ``tol``
     (``f = 0`` returns 1).  The certificate records that tail bound against
-    ``tol`` and both measured residuals against the tail bound.
+    ``tol`` and both measured residuals against the tail bound.  At
+    ``f = 0`` both residuals are ``norm(u*1 - 1)``, which is the measured
+    ``norm(1 - u)`` itself wherever the norm reads entry magnitudes only
+    (``instance.magnitude_norm``): that value is recorded, exact on exact
+    instances, and no product is formed.
     """
     one = instance.one()
     d = instance.sub(one, u)
-    q = float(instance.norm(d))
+    q_norm = instance.norm(d)
+    q = float(q_norm)
     if not q < 1:
         raise PreconditionError(
             f"not provably invertible by the geometric series: norm(1 - u) = {q} is not below 1"
@@ -157,10 +162,16 @@ def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
             acc = instance.add(one, d)
         factors += 1
         tail = r * r / (1 - q)
+    if factors or not instance.magnitude_norm:
+        left = instance.distance(instance.mul(u, acc), one)
+        right = instance.distance(instance.mul(acc, u), one)
+    else:
+        # u*1 is u entry for entry, and u - 1 is -(1 - u)
+        left = right = q_norm
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
-    cert.add("residual-left", instance.distance(instance.mul(u, acc), one), tail)
-    cert.add("residual-right", instance.distance(instance.mul(acc, u), one), tail)
+    cert.add("residual-left", left, tail)
+    cert.add("residual-right", right, tail)
     return CertifiedUnit(u, acc, cert)
 
 
@@ -185,16 +196,19 @@ def invertibility_radius(instance: AlgebraInstance, unit: CertifiedUnit) -> floa
 # conjugation of nearby idempotents
 
 
-def intertwiner(instance: AlgebraInstance, e, f):
+def intertwiner(instance: AlgebraInstance, e, f, ef=None):
     """The element ``e*f + (1-e)*(1-f)``, satisfying ``e*u = e*f = u*f``
     whenever ``e`` and ``f`` are idempotent.
 
     Formed as ``1 - e - f + 2*e*f``, the same element in any ring, in one
-    product.
+    product; a caller that already holds ``e*f`` passes it as ``ef``, and
+    then no product is formed.
     """
+    if ef is None:
+        ef = instance.mul(e, f)
     return instance.add(
         instance.sub(instance.sub(instance.one(), e), f),
-        instance.int_scale(2, instance.mul(e, f)),
+        instance.int_scale(2, ef),
     )
 
 
@@ -348,7 +362,8 @@ def _newton_lift(instance: AlgebraInstance, e, e_sq, defect, x: float, tol: floa
     are both at most ``tol``.  It also stops once the distance from the
     a-priori bounds alone is at most ``tol``: never later than the
     a-priori step count, where rounding holds the measured defect above
-    ``tol``.  Returns ``(e, tail_bound, defect)``.
+    ``tol``.  Returns ``(e, tail_bound, defect, steps)``; at 0 steps ``e``
+    is the given object.
     """
     three = instance.int_scale(3, instance.one())
     t = t_prior = float(defect)
@@ -358,7 +373,7 @@ def _newton_lift(instance: AlgebraInstance, e, e_sq, defect, x: float, tol: floa
         if tail <= tol and (
             defect <= tol or x_prior * _inverse_sqrt_excess(t_prior) / 2 <= tol
         ):
-            return e, tail, defect
+            return e, tail, defect, steps
         if steps == NEWTON_STEP_CAP:
             break
         e = instance.mul(e_sq, instance.sub(three, instance.int_scale(2, e)))
@@ -388,7 +403,9 @@ def lift_idempotent(
       next step needs, and the loop stops once that defect and the
       certified distance to the sum, computed from the measured defects,
       are both at most ``tol`` (see :func:`_newton_lift`); the last measured
-      defect is the ``defect`` entry.
+      defect is the ``defect`` entry.  When no step is needed, ``e`` is
+      ``a`` and ``commute`` reads the ``a*a`` the defect was measured on
+      for both of its products.
       Promises ``norm(e*e - e) <= tol``, commutation with ``a``, and
       ``norm(e - a) <= norm(2a - 1) * ((1 - 4t)**-0.5 - 1) / 2``.
     * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``,
@@ -404,11 +421,15 @@ def lift_idempotent(
     """
     if variant not in ("printed", "corrected"):
         raise PreconditionError(f"unknown lift variant {variant!r}")
-    return _lift(instance, a, instance.mul(a, a), variant, tol)
+    return _lift(instance, a, instance.mul(a, a), variant, tol)[0]
 
 
-def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float) -> CertifiedIdempotent:
-    """:func:`lift_idempotent` of ``a`` given ``a_sq = a*a``."""
+def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float):
+    """:func:`lift_idempotent` of ``a`` given ``a_sq = a*a``.
+
+    Returns ``(lifted, ea)``, where ``ea`` is the product ``e*a`` that the
+    ``commute`` entry was measured on.
+    """
     s = instance.sub(a_sq, a)
     defect = instance.norm(s)
     t = float(defect)
@@ -420,22 +441,23 @@ def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float) -> Certi
         series, tail = _series_sum(instance, s, t, printed_coefficient, tol)
         e = instance.sub(a, series)
         defect = instance.distance(instance.mul(e, e), e)
+        steps = None
     else:
-        e, tail, defect = _newton_lift(instance, a, a_sq, defect, x, tol)
+        e, tail, defect, steps = _newton_lift(instance, a, a_sq, defect, x, tol)
+    if steps == 0:  # e is a
+        ea = ae = a_sq
+    else:
+        ea, ae = instance.mul(e, a), instance.mul(a, e)
 
     dist = instance.distance(e, a)
     derived = x * _inverse_sqrt_excess(t) / 2
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
     cert.add("defect", defect, tol)
-    cert.add(
-        "commute",
-        instance.distance(instance.mul(e, a), instance.mul(a, e)),
-        tol,
-    )
+    cert.add("commute", instance.distance(ea, ae), tol)
     cert.add("distance-h", dist, h_bound(t), advisory=(variant == "corrected"))
     cert.add("distance-derived", dist, derived, advisory=(variant == "printed"))
-    return CertifiedIdempotent(e, cert)
+    return CertifiedIdempotent(e, cert), ea
 
 
 def scalar_lift_rational(a: Fraction, variant: str, terms: int) -> Fraction:

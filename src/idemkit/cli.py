@@ -175,28 +175,28 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
             rng = np.random.default_rng([config.seed, idx])
             level = int(rng.integers(0, tower.depth + 1))
             inst = tower.levels[level]
+            # each trial idempotent is certified once, for both calls
             if isinstance(inst, MatrixAlgebra):
                 rank = int(rng.integers(0, inst.n + 1))
-                e = conjugated_projector(inst, rank, rng, spread=0.4)
-                f = conjugated_projector(inst, rank, rng, spread=0.4)
-                res = k0mod.are_equivalent(
-                    inst,
-                    calculus.certify_idempotent(inst, e, config.tolerance),
-                    calculus.certify_idempotent(inst, f, config.tolerance),
-                    config.tolerance,
+                e, f = (
+                    calculus.certify_idempotent(
+                        inst, conjugated_projector(inst, rank, rng, spread=0.4), config.tolerance
+                    )
+                    for _ in range(2)
                 )
+                res = k0mod.are_equivalent(inst, e, f, config.tolerance)
                 if res.verdict != "yes":
                     raise IdemkitError("equal-rank trial pair unexpectedly inequivalent")
                 u = res.unit.u
             else:
                 bits = rng.integers(0, 2, inst.size)
-                e = f = bits.astype(complex)
+                e = f = calculus.certify_idempotent(inst, bits.astype(complex), config.tolerance)
                 u = inst.one()
             transfer = colimit.transfer_injective(
                 tower,
                 level,
-                calculus.certify_idempotent(inst, e, config.tolerance),
-                calculus.certify_idempotent(inst, f, config.tolerance),
+                e,
+                f,
                 colimit.LimitElement(level, u, 0.0),
                 eps=config.eps,
                 tol=config.tolerance,

@@ -143,6 +143,13 @@ def transfer_surjective(
     :class:`LimitElement` values; its inversion residuals certify the
     representative at its level, and the colimit statements are
     conditional on ``e.tail_bound``.
+
+    Products already formed are read, not formed again: the lift's defect
+    and, when no Newton step is needed, its ``commute`` entry read the
+    scan's ``a*a``, and the unit ``1 - e - a + 2*e*a`` reads the ``e*a``
+    that ``commute`` was measured on.  For an exact level idempotent the
+    whole round trip is then that one product, since the unit is within
+    ``tol`` of 1 and its inverse is 1.
     """
     if eps is None:
         eps = default_eps(colim_norm_bound(tower, e))
@@ -162,7 +169,7 @@ def transfer_surjective(
         )
     j, a_j, a_sq = chosen
     inst = tower.levels[j]
-    lifted = _lift(inst, a_j, a_sq, "corrected", tol)
+    lifted, ea = _lift(inst, a_j, a_sq, "corrected", tol)
     e_j = lifted.e
 
     dist = float(inst.distance(e_j, a_j)) + tail
@@ -183,7 +190,7 @@ def transfer_surjective(
         raise PreconditionError(
             f"transfer distance {dist} fails the conjugation threshold (bound {bound})"
         )
-    u_rep = intertwiner(inst, e_j, a_j)
+    u_rep = intertwiner(inst, e_j, a_j, ea)
     tail_u = tail * (b_e + float(inst.norm(inst.sub(inst.one(), e_j))))
     unit_cert = inst.certificate()
     unit_cert.add("conjugation-threshold", bound, 1)

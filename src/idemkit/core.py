@@ -181,6 +181,10 @@ class AlgebraInstance(ABC):
     #: whether the multiplicative axioms (submultiplicativity, unit norm)
     #: are part of this instance's contract
     is_banach_ring: bool = True
+    #: whether the norm reads only the magnitudes of the scalar entries, so
+    #: that ``norm(-x) == norm(x)`` bit for bit; a floating spectral norm
+    #: meets the symmetry axiom only up to rounding
+    magnitude_norm: bool = False
     #: trailing axes of an element; ``()`` for scalars
     shape: tuple = ()
     #: numpy dtype of element arrays
@@ -296,6 +300,7 @@ class ScaledIntegers(AlgebraInstance):
     kind = "scaled-integers"
     exact = True
     slack = 0.0
+    magnitude_norm = True
     dtype = object
 
     def __init__(self, r=1):

@@ -24,7 +24,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .calculus import CertifiedUnit, certify_idempotent, certify_unit, conjugating_unit
+from .calculus import (
+    CertifiedIdempotent,
+    CertifiedUnit,
+    certify_idempotent,
+    certify_unit,
+    conjugating_unit,
+)
 from .core import AlgebraInstance
 from .errors import PathError
 from .instances import COMPLEX, MatrixAlgebra
@@ -38,8 +44,10 @@ SEGMENT_MARGIN = 0.5
 class IdempotentPath:
     """A sampled path ``t -> e(t)`` of idempotents with a Lipschitz hint.
 
-    Every sample is defect-checked on first use; the hint is validated on
-    every sampled pair, and a violation aborts with a diagnostic rather
+    Every sample is certified once, on first use: its defect certificate
+    against ``sample_tol`` is formed from the one product ``e*e`` and kept,
+    and a defect above ``sample_tol`` aborts with a diagnostic.  The hint
+    is validated on every sampled pair, and a violation aborts too, rather
     than returning an uncertified unit.
     """
 
@@ -48,17 +56,23 @@ class IdempotentPath:
     lipschitz_hint: float
     sample_tol: float = 1e-9
     _cache: dict = field(default_factory=dict, repr=False)
+    _certified: dict = field(default_factory=dict, repr=False)
 
     def at(self, t: float):
-        if t not in self._cache:
-            e = self.sampler(t)
-            defect = float(self.instance.distance(self.instance.mul(e, e), e))
+        return self.certified(t).e
+
+    def certified(self, t: float) -> CertifiedIdempotent:
+        """The sample at ``t`` with its defect certificate, formed on first use."""
+        if t not in self._certified:
+            sample = certify_idempotent(self.instance, self.sampler(t), self.sample_tol)
+            defect = float(sample.defect)
             if defect > self.sample_tol:
                 raise PathError(
                     f"path sample at t={t} fails the idempotent check: defect {defect}"
                 )
-            self._cache[t] = e
-        return self._cache[t]
+            self._certified[t] = sample
+            self._cache[t] = sample.e
+        return self._certified[t]
 
 
 def segment_threshold(max_norm: float) -> float:
@@ -78,7 +92,11 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     Adaptively bisects until every adjacent pair of samples is within the
     segment threshold, then certifies ``norm(e(0)*u - u*e(1)) <= tol``
     together with the unit's residuals, the per-segment gaps, and the
-    segment-count bound ``2*ceil(L/threshold) + 2``.  Raises
+    segment-count bound ``2*ceil(L/threshold) + 2``.  Each segment's unit
+    conjugates the samples' certified idempotents from
+    :meth:`IdempotentPath.certified`, and the composition starts from the
+    first segment's unit, so ``k`` segments take ``k - 1`` composing
+    products per side.  Raises
     :class:`PathError` for a negative ``max_depth``, when some gap stays
     above threshold at depth ``max_depth`` (the path is too wild for its
     hint) or when the hint itself is violated.
@@ -117,11 +135,12 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     # composition can amplify per-segment residuals by the product of unit
     # norms, so each segment is certified two orders tighter
     seg_tol = tol / (100 * len(gaps))
-    samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
-    u = inst.one()
-    u_inv = inst.one()
-    for ce, cf in zip(samples, samples[1:]):
-        unit = conjugating_unit(inst, ce, cf, seg_tol)
+    samples = [path.certified(t) for t in points]
+    # one segment's unit at a time: at n = 1024 each holds 32 MB
+    units = (conjugating_unit(inst, ce, cf, seg_tol) for ce, cf in zip(samples, samples[1:]))
+    first = next(units)
+    u, u_inv = first.u, first.u_inv
+    for unit in units:
         u = inst.mul(u, unit.u)
         u_inv = inst.mul(unit.u_inv, u_inv)
 

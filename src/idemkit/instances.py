@@ -36,6 +36,7 @@ class ComplexScalars(AlgebraInstance):
 
     kind = "complex"
     exact = False
+    magnitude_norm = True
 
     def one(self):
         return complex(1)
@@ -82,6 +83,7 @@ class Container(AlgebraInstance):
         self.dtype = inner.dtype
         self.exact = inner.exact
         self.slack = inner.slack
+        self.magnitude_norm = inner.magnitude_norm
 
     def _entry_mul(self, x, y):
         """Entrywise products; scalar entries multiply in numpy directly."""
@@ -118,6 +120,8 @@ class MatrixAlgebra(Container):
         super().__init__(inner, (n, n))
         self.n = n
         self.norm_kind = norm_kind
+        if norm_kind == "spectral":
+            self.magnitude_norm = False
 
     def mul(self, x, y):
         if not self.inner.shape:

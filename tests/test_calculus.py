@@ -724,3 +724,81 @@ def test_neumann_factor_cap():
     with pytest.raises(SeriesTruncationError, match="14 factors"):
         neumann_inverse(COMPLEX, 1e-4 + 0j, 1e-9)
     assert neumann_inverse(COMPLEX, 0.01 + 0j, 1e-9).cert.valid  # f = 12
+
+
+# ---------------------------------------------------------------------------
+# entries read from products already formed
+
+
+def _zero_factor_units(inst, rng, tol):
+    """Units ``u`` with ``q / (1 - q) <= tol`` for ``q = norm(1 - u)``."""
+    for q in (0.0, 1e-17, 1e-15, 1e-12, tol / 2):
+        d = inst.random_element(rng)
+        d *= q / inst.norm(d)
+        yield inst.sub(inst.one(), d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_zero_factor_inverse_forms_no_product_and_records_the_measured_norm(n):
+    inst = _CountingMatrices(n)
+    one = inst.one()
+    for u in _zero_factor_units(inst, np.random.default_rng(89 + n), 1e-9):
+        q = inst.norm(inst.sub(one, u))
+        unit = []
+        assert _products(inst, lambda: unit.append(neumann_inverse(inst, u, 1e-9))) == 0
+        (unit,) = unit
+        assert np.array_equal(unit.u_inv, one)
+        tail = unit.cert.entry("tail-bound").lhs
+        for name, product in (("residual-left", inst.mul(u, one)), ("residual-right", inst.mul(one, u))):
+            lhs = unit.cert.entry(name).lhs
+            # the product it no longer forms, the measured norm, and no slack
+            assert lhs == inst.distance(product, one) == q
+            assert lhs <= tail
+
+
+def test_zero_factor_residuals_stay_exact_on_scaled_integer_matrices():
+    inst = MatrixAlgebra(ScaledIntegers("1/1000"), 3)
+    one = inst.one()
+    u = inst.add(one, inst.unit_matrix(0, 1, 1))
+    unit = neumann_inverse(inst, u, 0.01)  # q / (1 - q) = 1/999
+    assert np.array_equal(unit.u_inv, one)
+    for name, product in (("residual-left", inst.mul(u, one)), ("residual-right", inst.mul(one, u))):
+        lhs = unit.cert.entry(name).lhs
+        assert type(lhs) is Fraction and lhs == Fraction(1, 1000) == inst.distance(product, one)
+        assert lhs <= unit.cert.entry("tail-bound").lhs
+
+
+def test_zero_factor_residuals_under_the_spectral_norm_are_the_products():
+    # norm(-x) and norm(x) can differ in the last bit through the SVD, so
+    # norm(1 - u) does not stand in for norm(u*1 - 1) there
+    inst = MatrixAlgebra(COMPLEX, 8, "spectral")
+    one = inst.one()
+    for u in _zero_factor_units(inst, np.random.default_rng(97), 1e-9):
+        unit = neumann_inverse(inst, u, 1e-9)
+        assert unit.cert.entry("residual-left").lhs == inst.distance(inst.mul(u, one), one)
+        assert unit.cert.entry("residual-right").lhs == inst.distance(inst.mul(one, u), one)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_lift_of_an_exact_projector_reads_a_squared_for_commute(n):
+    inst = _CountingMatrices(n)
+    rng = np.random.default_rng(101 + n)
+    for rank in (0, 1, n // 2, n):
+        p = conjugated_projector(inst, rank, rng, spread=0.4)
+        lifted = []
+        assert _products(inst, lambda: lifted.append(lift_idempotent(inst, p, "corrected", 1e-12))) == 1
+        (lifted,) = lifted
+        assert lifted.e is p
+        commute = inst.distance(inst.mul(p, p), inst.mul(p, p))
+        assert lifted.cert.entry("commute").lhs == commute == 0
+        assert lifted.cert.entry("defect").lhs == inst.distance(inst.mul(p, p), p)
+
+
+def test_intertwiner_from_a_product_already_formed_is_the_same_element():
+    inst = _CountingMatrices(6)
+    rng = np.random.default_rng(103)
+    e, f = (inst.random_element(rng) for _ in range(2))
+    ef = inst.mul(e, f)
+    given = []
+    assert _products(inst, lambda: given.append(intertwiner(inst, e, f, ef))) == 0
+    assert np.array_equal(given[0], intertwiner(inst, e, f))

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idemkit.calculus import certify_idempotent, h_bound
+from idemkit.calculus import certify_idempotent, h_bound, intertwiner, lift_idempotent, neumann_inverse
 from idemkit.colimit import (
     LimitElement,
+    _random_level_idempotent,
     colim_norm_bound,
     default_eps,
     k0_colimit_compare,
@@ -20,11 +21,15 @@ from idemkit.colimit import (
 )
 from idemkit.errors import TowerTooShallowError
 from idemkit.instances import (
+    MatrixAlgebra,
+    Tower,
     conjugated_projector,
     make_cantor_tower,
     make_uhf_tower,
     random_almost_idempotent,
 )
+
+from test_calculus import _CountingMatrices, _products
 
 UHF4 = make_uhf_tower(4)
 CANTOR5 = make_cantor_tower(5)
@@ -218,3 +223,84 @@ def test_compare_report_certificates_are_the_transfers_then_round_trip():
     round_trip = report.certificates[-1][1]
     assert round_trip.names() == ["mismatches"]
     assert round_trip.valid
+
+
+# ---------------------------------------------------------------------------
+# entries read from products already formed
+
+
+def _counting_uhf_tower(depth):
+    return Tower("uhf", [_CountingMatrices(2**i) for i in range(depth + 1)], make_uhf_tower(depth)._connect)
+
+
+def _tower_products(tower, run):
+    for inst in tower.levels:
+        inst.products = 0
+    out = run()
+    return sum(inst.products for inst in tower.levels), out
+
+
+def _explicit(inst, a, result):
+    """Every product-derived value of a surjective transfer from ``a``, with
+    each product formed explicitly: the lift's defect and commute entries,
+    the unit ``1 - e - a + 2*e*a`` and its two inversion residuals."""
+    e = result.idempotent.e
+    u, u_inv = result.unit.u.representative, result.unit.u_inv.representative
+    one = inst.one()
+    entries = {
+        "lift:defect": inst.distance(inst.mul(e, e), e),
+        "lift:commute": inst.distance(inst.mul(e, a), inst.mul(a, e)),
+        "residual-left": inst.distance(inst.mul(u, u_inv), one),
+        "residual-right": inst.distance(inst.mul(u_inv, u), one),
+    }
+    return entries, intertwiner(inst, e, a)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12])
+@pytest.mark.parametrize("tower", [make_uhf_tower(4), make_cantor_tower(6)], ids=["uhf4", "cantor6"])
+def test_surjective_transfer_entries_equal_the_explicit_products(tower, seed):
+    for idx in range(16):
+        rng = np.random.default_rng([seed, idx])
+        level = int(rng.integers(0, tower.depth + 1))
+        almost = isinstance(tower.levels[level], MatrixAlgebra) and idx % 4 == 3
+        e, tail = _random_level_idempotent(tower, level, rng, almost)
+        result = transfer_surjective(tower, LimitElement(level, e, tail), eps=0.01)
+        inst = tower.levels[result.level]
+        entries, unit = _explicit(inst, tower.push(e, level, result.level), result)
+        assert np.array_equal(result.unit.u.representative, unit)
+        for name, value in entries.items():
+            cert = result.cert if name.startswith("lift:") else result.unit.cert
+            assert cert.entry(name).lhs == value, (idx, name)
+
+
+def test_surjective_transfer_of_an_exact_projector_forms_one_product():
+    tower = _counting_uhf_tower(4)
+    rng = np.random.default_rng(107)
+    for level, inst in enumerate(tower.levels):
+        for rank in sorted({0, 1, inst.n // 2, inst.n}):
+            p = conjugated_projector(inst, rank, rng, spread=0.4)
+            products, result = _tower_products(
+                tower, lambda: transfer_surjective(tower, LimitElement(level, p, 0.0), eps=0.01)
+            )
+            assert products == 1  # the scan's p*p
+            assert result.level == level and result.cert.valid and result.unit.cert.valid
+
+
+def test_surjective_transfer_forms_only_its_lift_and_its_inversion():
+    # the unit's e*a is the product the lift's commute entry was measured
+    # on: forming it again would be one product more
+    tower = _counting_uhf_tower(3)
+    rng = np.random.default_rng(109)
+    for idx in range(8):
+        level = 1 + idx % tower.depth
+        inst = tower.levels[level]
+        a, tail = _random_level_idempotent(tower, level, rng, almost=True)
+        products, result = _tower_products(
+            tower, lambda: transfer_surjective(tower, LimitElement(level, a, tail), eps=0.01)
+        )
+        assert result.level == level
+        lift = _products(inst, lambda: lift_idempotent(inst, a, "corrected", 1e-12))
+        unit = intertwiner(inst, result.idempotent.e, a)
+        inversion = _products(inst, lambda: neumann_inverse(inst, unit, 1e-12))
+        assert lift >= 5  # a*a, at least one Newton step, both commute products
+        assert products == lift + inversion

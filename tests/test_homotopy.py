@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from idemkit.calculus import certify_idempotent
+from idemkit.calculus import certify_idempotent, certify_unit, conjugating_unit
 from idemkit.errors import PathError
 from idemkit.homotopy import (
     IdempotentPath,
@@ -17,6 +17,8 @@ from idemkit.homotopy import (
 )
 from idemkit.instances import COMPLEX, MatrixAlgebra
 from idemkit.k0 import classify
+
+from test_calculus import _CountingMatrices, _products
 
 M2 = MatrixAlgebra(COMPLEX, 2)
 
@@ -133,3 +135,44 @@ def test_experiment_rank_constancy():
 def test_experiment_report_schema():
     blob = homotopy_invariance_experiment(2, 3, seed=5).to_json()
     assert set(blob) == {"size", "trials", "failures", "max_segments", "all_constant"}
+
+
+def _paths():
+    yield rotation_path(MatrixAlgebra(COMPLEX, 3))
+    for seed in (3, 11, 12):
+        yield conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=seed)
+
+
+@pytest.mark.parametrize("path", _paths(), ids=["rotation3", "random4-3", "random4-11", "random4-12"])
+def test_trivialization_equals_the_explicit_composition_from_one(path):
+    unit = path_trivialize(path, tol=1e-8)
+    inst, points = path.instance, sorted(path._cache)
+    seg_tol = 1e-8 / (100 * (len(points) - 1))
+    samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
+    assert [s.cert for s in samples] == [path.certified(t).cert for t in points]
+    u = u_inv = inst.one()
+    for ce, cf in zip(samples, samples[1:]):
+        seg = conjugating_unit(inst, ce, cf, seg_tol)
+        u, u_inv = inst.mul(u, seg.u), inst.mul(seg.u_inv, u_inv)
+    assert np.array_equal(unit.u, u) and np.array_equal(unit.u_inv, u_inv)
+    cert = inst.certificate()
+    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, u_inv, 1e-8, intertwine_rhs=1e-8)
+    assert unit.cert.entries[: len(cert.entries)] == cert.entries
+
+
+def test_trivialization_composes_segments_minus_one_pairs():
+    inst = _CountingMatrices(4)
+    path = conjugation_path(inst, 2, seed=3)
+    unit = []
+    total = _products(inst, lambda: unit.append(path_trivialize(path, tol=1e-8)))
+    segments = int(unit[0].cert.entry("segments").lhs)
+    samples = [path.certified(t) for t in sorted(path._cache)]
+    assert len(samples) == segments + 1 > 2
+    seg_tol = 1e-8 / (100 * segments)
+    units = _products(
+        inst,
+        lambda: [conjugating_unit(inst, ce, cf, seg_tol) for ce, cf in zip(samples, samples[1:])],
+    )
+    # one e*e per sample, the segment units, segments - 1 composing pairs
+    # and the four products of the final certificate
+    assert total == len(samples) + units + 2 * (segments - 1) + 4

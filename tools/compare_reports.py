@@ -1,0 +1,103 @@
+"""Compare the CLI's reports in this checkout against those of another checkout.
+
+Usage (from the repository root)::
+
+    python3 tools/compare_reports.py PARENT_DIR [--seeds 7 11] [--extra "ARGS"]...
+
+For each seed, every command of ``bench/workloads.readme_commands(seed)``
+(loaded by file path from this checkout) and every extra argument list,
+with ``--seed`` appended, runs once in each checkout as a subprocess of
+``idemkit.cli.main`` with that checkout's ``src`` first on ``PYTHONPATH``
+and one BLAS thread.  Each run writes its report with ``--out`` into a
+fresh directory.  Exit code, stdout, stderr and report bytes are compared;
+every difference is printed, and the exit status is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: argument lists run at every seed besides the README's commands
+DEFAULT_EXTRAS = [
+    ["transfer", "--tower", '{"kind":"uhf","depth":6}', "--direction", "inj", "--trials", "20"],
+    ["transfer", "--tower", '{"kind":"cantor","depth":8}', "--direction", "sur", "--trials", "100"],
+    ["path-trivialize", "--n", "4", "--path", "random"],
+    ["k0", "--instance", '{"kind":"matrix","n":8}'],
+]
+
+_RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def load_workloads():
+    """``bench/workloads.py`` of this checkout, which imports its ``idemkit``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(checkout: Path, args: list[str], workdir: Path) -> tuple:
+    """``(exit code, stdout, stderr, report bytes or None)`` of one command."""
+    workdir.mkdir()
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(checkout / "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, *args, "--out", "report.out"],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+    )
+    out = workdir / "report.out"
+    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="the other checkout's root directory")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    parser.add_argument(
+        "--extra", action="append", default=[], help="one more argument list, shell-quoted"
+    )
+    opts = parser.parse_args(argv)
+    parent = opts.parent.resolve()
+    if not (parent / "src" / "idemkit").is_dir():
+        print(f"compare_reports: no src/idemkit under {parent}", file=sys.stderr)
+        return 1
+    extras = DEFAULT_EXTRAS + [shlex.split(text) for text in opts.extra]
+    fields = ("exit code", "stdout", "stderr", "report")
+    compared = differing = 0
+    workloads = load_workloads()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in opts.seeds:
+            commands = [args for args, _ in workloads.readme_commands(seed)]
+            commands += [[*args, "--seed", str(seed)] for args in extras]
+            for args in commands:
+                here = run(ROOT, args, Path(tmp) / f"{compared}-here")
+                there = run(parent, args, Path(tmp) / f"{compared}-parent")
+                compared += 1
+                diffs = [name for name, a, b in zip(fields, here, there) if a != b]
+                if diffs:
+                    differing += 1
+                    print(f"DIFF ({', '.join(diffs)}): {shlex.join(args)}")
+    print(f"{compared} commands compared, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
