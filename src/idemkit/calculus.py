@@ -273,7 +273,10 @@ def conjugating_unit(
     u = intertwiner(instance, e.e, f.e)
     inverted = neumann_inverse(instance, u, tol)
     cert = instance.certificate()
-    certify_unit(instance, cert, e.e, f.e, u, None, tol)
+    # the default rhs, from the norms already measured
+    certify_unit(
+        instance, cert, e.e, f.e, u, None, tol, intertwine_rhs=tol * (1 + float(ne) + float(nf))
+    )
     cert.add("unit-distance", instance.distance(u, instance.one()), bound)
     cert.extend(inverted.cert)
     return CertifiedUnit(u, inverted.u_inv, cert)

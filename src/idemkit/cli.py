@@ -72,6 +72,9 @@ class ExperimentConfig:
         for name in ("instance", "tower"):
             if not isinstance(getattr(self, name), (dict, type(None))):
                 raise ConfigError(f"the {name} descriptor must be a JSON object")
+        # numpy's generators take no negative seed
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         # h_bound(eps) is defined only below 1/4; one range serves both directions
@@ -338,10 +341,10 @@ def _read_json_arg(text: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        p = Path(text)
-        if p.exists():
-            return json.loads(p.read_text())
-        raise ConfigError(f"not valid JSON and not a readable file: {text!r}")
+        try:
+            return json.loads(Path(text).read_bytes())
+        except (OSError, ValueError):  # ValueError: undecodable bytes or a NUL in the path
+            raise ConfigError(f"not valid JSON and not a readable file: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,6 +409,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except IdemkitError as exc:
         print(f"idemkit: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"idemkit: cannot write the report: {exc}", file=sys.stderr)
         return 1
 
 

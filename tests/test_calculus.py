@@ -559,15 +559,20 @@ def test_newton_lift_near_a_quarter_and_its_step_cap():
 
 
 class _CountingMatrices(MatrixAlgebra):
-    """Complex matrices that count their products."""
+    """Complex matrices that count their products and their norms."""
 
     def __init__(self, n):
         super().__init__(COMPLEX, n)
         self.products = 0
+        self.norm_calls = 0
 
     def mul(self, x, y):
         self.products += 1
         return super().mul(x, y)
+
+    def norm(self, x):
+        self.norm_calls += 1
+        return super().norm(x)
 
 
 def _products(inst, run):
@@ -802,3 +807,51 @@ def test_intertwiner_from_a_product_already_formed_is_the_same_element():
     given = []
     assert _products(inst, lambda: given.append(intertwiner(inst, e, f, ef))) == 0
     assert np.array_equal(given[0], intertwiner(inst, e, f))
+
+
+def _explicit_conjugating_cert(inst, e, f, tol):
+    """``conjugating_unit``'s certificate with every norm measured where it is used."""
+    u = intertwiner(inst, e, f)
+    cert = inst.certificate()
+    cert.add(
+        "intertwine",
+        inst.distance(inst.mul(e, u), inst.mul(u, f)),
+        tol * (1 + float(inst.norm(e)) + float(inst.norm(f))),
+    )
+    bound = conjugation_bound(inst.norm(e), inst.distance(e, f))
+    cert.add("unit-distance", inst.distance(u, inst.one()), bound)
+    cert.extend(neumann_inverse(inst, u, tol).cert)
+    return cert
+
+
+def _norm_calls(inst, run):
+    inst.norm_calls = 0
+    run()
+    return inst.norm_calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_conjugating_unit_measures_each_endpoint_norm_once(n):
+    inst = _CountingMatrices(n)
+    rng = np.random.default_rng(107 + n)
+    for rank in sorted({0, 1, n // 2, n}):
+        p = conjugated_projector(inst, rank, rng, spread=0.4)
+        g = inst.one() + 1e-3 * inst.random_element(rng)
+        e = certify_idempotent(inst, p, 1e-9)
+        f = certify_idempotent(inst, g @ p @ np.linalg.inv(g), 1e-9)
+        unit = []
+        calls = _norm_calls(inst, lambda: unit.append(conjugating_unit(inst, e, f, 1e-9)))
+        u = intertwiner(inst, e.e, f.e)
+        inversion = _norm_calls(inst, lambda: neumann_inverse(inst, u, 1e-9))
+        # norm(e), norm(f), norm(e - f), the inversion's, intertwine and unit-distance
+        assert calls == 3 + inversion + 2
+        assert unit[0].cert.entries == _explicit_conjugating_cert(inst, e.e, f.e, 1e-9).entries
+
+
+def test_conjugating_unit_entries_on_exact_norms():
+    inst = MatrixAlgebra(ScaledIntegers("1/2"), 3)
+    e = inst.unit_matrix(0, 0)
+    f = inst.add(e, inst.unit_matrix(0, 1))  # an idempotent at distance 1/2
+    assert inst.distance(inst.mul(f, f), f) == 0 and inst.distance(e, f) == Fraction(1, 2)
+    unit = conjugating_unit(inst, certify_idempotent(inst, e, 0), certify_idempotent(inst, f, 0), 1e-9)
+    assert unit.cert.entries == _explicit_conjugating_cert(inst, e, f, 1e-9).entries

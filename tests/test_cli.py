@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idemkit
 from idemkit.cli import ExperimentConfig, build_report, main, run
 from idemkit.core import Certificate
 from idemkit.errors import ConfigError
@@ -375,3 +379,61 @@ def test_transfer_csv_lists_every_unit_certificate(tmp_path):
     for i in range(3):
         entries = {entry for name, entry, *_ in rows if name == f"unit[{i}]"}
         assert {"intertwine", "residual-left"} <= entries
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "7"])
+def test_config_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(command="k0", seed=seed)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["k0", "--seed", "-1"], id="k0-negative-seed"),
+        pytest.param(["transfer", "--seed", "-3", "--trials", "1"], id="transfer-negative-seed"),
+        pytest.param(["norm-audit", "--seed", "-1"], id="norm-audit-negative-seed"),
+        pytest.param(["k0", "--instance", "{dir}"], id="instance-directory"),
+        pytest.param(["transfer", "--tower", "{dir}"], id="tower-directory"),
+        pytest.param(["k0", "--instance", "{undecodable}"], id="instance-undecodable-file"),
+        pytest.param(["k0", "--out", "{dir}"], id="out-directory"),
+        pytest.param(["k0", "--out", "{dir}/missing/report.json"], id="out-under-missing-directory"),
+    ],
+)
+def test_bad_seeds_and_paths_exit_one_with_one_line(args, tmp_path, capsys):
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\x80\x81")
+    args = [a.format(dir=tmp_path, undecodable=undecodable) for a in args]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_SCIPY_GUARD = """
+import sys
+import idemkit, idemkit.cli
+from idemkit.cli import main
+
+out = sys.argv[1]
+code = main(["k0", "--instance", '{"kind":"matrix","n":2}', "--out", out])
+print(code, "scipy" in sys.modules)
+code = main(["path-trivialize", "--n", "2", "--path", "random", "--tol", "1e-8", "--out", out])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_only_by_a_random_path(tmp_path):
+    # a fresh interpreter: this test process may have loaded SciPy already
+    src = str(Path(idemkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, str(tmp_path / "report.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["0 False", "0 True"]

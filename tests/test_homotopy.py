@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from idemkit import homotopy
 from idemkit.calculus import certify_idempotent, certify_unit, conjugating_unit
 from idemkit.errors import PathError
 from idemkit.homotopy import (
@@ -176,3 +177,37 @@ def test_trivialization_composes_segments_minus_one_pairs():
     # one e*e per sample, the segment units, segments - 1 composing pairs
     # and the four products of the final certificate
     assert total == len(samples) + units + 2 * (segments - 1) + 4
+
+
+def test_experiment_classifies_the_samples_its_paths_certified(monkeypatch):
+    keys = []
+
+    def spy(inst, e):
+        cls = classify(inst, e)
+        keys.append(cls.key)
+        return cls
+
+    monkeypatch.setattr(homotopy, "classify", spy)
+    report = homotopy_invariance_experiment(4, 5, seed=13)
+    assert keys == [4, 4, 4, 4, 0, 0, 0, 0, 3, 3]
+    assert report.to_json() == {
+        "size": 4,
+        "trials": 5,
+        "failures": [],
+        "max_segments": [1, 1, 1, 1, 2],
+        "all_constant": True,
+    }
+
+
+def test_experiment_forms_only_the_trivialization_products(monkeypatch):
+    inst = _CountingMatrices(4)
+    monkeypatch.setattr(homotopy, "MatrixAlgebra", lambda scalars, n: inst)
+    total = _products(inst, lambda: homotopy_invariance_experiment(4, 5, seed=13))
+    expected = 0
+    for idx in range(5):
+        rng = np.random.default_rng([13, idx])
+        rank = int(rng.integers(0, 5))
+        path = conjugation_path(inst, rank, seed=int(rng.integers(0, 2**31)))
+        expected += _products(inst, lambda: path_trivialize(path, tol=1e-8))
+    # classifying an endpoint reads the path's own certified sample
+    assert total == expected

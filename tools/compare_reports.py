@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tools/compare_reports.py PARENT_DIR [--seeds 7 11] [--extra "ARGS"]...
+    python3 tools/compare_reports.py PARENT_DIR [--seeds 7 11] [--extra "ARGS"]... [--repeat N]
 
 For each seed, every command of ``bench/workloads.readme_commands(seed)``
 (loaded by file path from this checkout) and every extra argument list,
@@ -11,6 +11,13 @@ with ``--seed`` appended, runs once in each checkout as a subprocess of
 and one BLAS thread.  Each run writes its report with ``--out`` into a
 fresh directory.  Exit code, stdout, stderr and report bytes are compared;
 every difference is printed, and the exit status is 1 if there is any.
+
+With ``--repeat N`` each command runs N times per side instead, the two
+sides taking turns at going first, and the wall time of each subprocess,
+interpreter start included, is recorded.  The median per command and the
+sum of those medians per side are printed; the reports of the first run
+of each side are the ones compared, and the exit status still reports
+only differences.
 """
 
 from __future__ import annotations
@@ -19,9 +26,11 @@ import argparse
 import importlib.util
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +57,8 @@ def load_workloads():
 
 
 def run(checkout: Path, args: list[str], workdir: Path) -> tuple:
-    """``(exit code, stdout, stderr, report bytes or None)`` of one command."""
+    """``((exit code, stdout, stderr, report bytes or None), wall seconds)``
+    of one command."""
     workdir.mkdir()
     env = {
         **os.environ,
@@ -57,14 +67,17 @@ def run(checkout: Path, args: list[str], workdir: Path) -> tuple:
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
     }
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, *args, "--out", "report.out"],
         cwd=workdir,
         env=env,
         capture_output=True,
     )
+    wall = time.perf_counter() - start
     out = workdir / "report.out"
-    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+    report = out.read_bytes() if out.exists() else None
+    return (proc.returncode, proc.stdout, proc.stderr, report), wall
 
 
 def main(argv=None) -> int:
@@ -74,7 +87,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--extra", action="append", default=[], help="one more argument list, shell-quoted"
     )
+    parser.add_argument(
+        "--repeat", type=int, default=0, help="time N runs of each command per side"
+    )
     opts = parser.parse_args(argv)
+    if opts.repeat < 0:
+        parser.error("--repeat must be nonnegative")
     parent = opts.parent.resolve()
     if not (parent / "src" / "idemkit").is_dir():
         print(f"compare_reports: no src/idemkit under {parent}", file=sys.stderr)
@@ -82,20 +100,40 @@ def main(argv=None) -> int:
     extras = DEFAULT_EXTRAS + [shlex.split(text) for text in opts.extra]
     fields = ("exit code", "stdout", "stderr", "report")
     compared = differing = 0
+    sides = [("here", ROOT), ("parent", parent)]
+    totals = {"here": 0.0, "parent": 0.0}
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in opts.seeds:
             commands = [args for args, _ in workloads.readme_commands(seed)]
             commands += [[*args, "--seed", str(seed)] for args in extras]
             for args in commands:
-                here = run(ROOT, args, Path(tmp) / f"{compared}-here")
-                there = run(parent, args, Path(tmp) / f"{compared}-parent")
+                outputs, walls = {}, {"here": [], "parent": []}
+                for rep in range(max(1, opts.repeat)):
+                    for side, checkout in sides if rep % 2 == 0 else sides[::-1]:
+                        result, wall = run(checkout, args, Path(tmp) / f"{compared}-{side}-{rep}")
+                        outputs.setdefault(side, result)
+                        walls[side].append(wall)
                 compared += 1
-                diffs = [name for name, a, b in zip(fields, here, there) if a != b]
+                pairs = zip(fields, outputs["here"], outputs["parent"])
+                diffs = [name for name, a, b in pairs if a != b]
                 if diffs:
                     differing += 1
                     print(f"DIFF ({', '.join(diffs)}): {shlex.join(args)}")
+                if opts.repeat:
+                    medians = {side: statistics.median(w) for side, w in walls.items()}
+                    for side, median in medians.items():
+                        totals[side] += median
+                    print(
+                        f"TIME here {1000 * medians['here']:.1f} ms, "
+                        f"parent {1000 * medians['parent']:.1f} ms: {shlex.join(args)}"
+                    )
     print(f"{compared} commands compared, {differing} differ")
+    if opts.repeat:
+        print(
+            f"median wall time summed over {compared} commands ({opts.repeat} runs per side): "
+            f"here {totals['here']:.3f} s, parent {totals['parent']:.3f} s"
+        )
     return 1 if differing else 0
 
 
