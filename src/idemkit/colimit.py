@@ -249,7 +249,9 @@ def transfer_injective(
     ``norm(u_j_inv * e_j * u_j - f_j)`` against the certified bound
     ``eps * norm(e) * (eps + norm(u) + norm(u_inv))``, and closes the
     remaining gap by a proximity conjugation, composing both units into
-    one exact-level conjugator.
+    one exact-level conjugator.  The closing conjugation's entries, and the
+    defects of the idempotents it joins, are recorded as ``closing:``,
+    ``closing:d:`` and ``closing:f:`` entries.
     """
     inst_u = tower.levels[u.level]
     u_inv_rep = inst_u.try_inverse(u.representative)
@@ -286,6 +288,8 @@ def transfer_injective(
         total_inv = inst.mul(closing.u_inv, u_j_inv)
         certify_unit(inst, cert, e_j, f_j, total, total_inv, tol)
         cert.extend(closing.cert, prefix="closing:")
+        cert.extend(d_cert.cert, prefix="closing:d:")
+        cert.extend(f_cert.cert, prefix="closing:f:")
         return InjectiveTransfer(level=j, unit=CertifiedUnit(total, total_inv, cert), cert=cert)
     raise TowerTooShallowError(
         "tower too shallow: the conjugation threshold was never met within depth"

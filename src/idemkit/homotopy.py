@@ -14,11 +14,9 @@ Excision-style decompositions of the path ring itself have no finite model
 and are out of scope here; this module certifies class constancy along a
 path, nothing more.
 
-SciPy is loaded only where a :func:`conjugation_path` is built, which
-imports ``scipy.linalg`` for its ``expm`` sampler: by the CLI's
-``path-trivialize --path random`` and, in Python, by
-:func:`conjugation_path` and :func:`homotopy_invariance_experiment`.
-Importing idemkit and every other command leave it unloaded.
+The random paths of :func:`conjugation_path` sample ``exp(tX)`` and
+``exp(-tX)`` together with numpy alone, by scaling and squaring of one
+diagonal Padé approximant (:func:`_expm_pair`); idemkit needs no SciPy.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .calculus import (
     conjugating_unit,
 )
 from .core import AlgebraInstance
-from .errors import PathError
+from .errors import ConfigError, PathError
 from .instances import COMPLEX, MatrixAlgebra
 from .k0 import classify
 
@@ -181,16 +179,90 @@ def rotation_path(instance: MatrixAlgebra, quarter_turns: float = 1.0) -> Idempo
     return IdempotentPath(instance, sample, lipschitz_hint=hint)
 
 
+#: Padé degrees with the largest column-l1 norm ``theta_m`` of ``a`` for
+#: which the [m/m] approximant keeps ``exp(a)`` to double precision
+#: (Higham 2005, Table 2.3)
+_PADE_THETA = (
+    (3, 1.495585217958292e-2),
+    (5, 2.539398330063230e-1),
+    (7, 9.504178996162932e-1),
+    (9, 2.097847961257068e0),
+    (13, 5.371920351148152e0),
+)
+
+
+def _pade_rows(m: int):
+    """The [m/m] Padé numerator's coefficients as rows over ``(1, a^2, a^4, ...)``.
+
+    The numerator ``V + U`` of ``exp`` has coefficients ``b_j = (2m - j)! /
+    (j! (m - j)!)``, scaled so that ``b_m = 1``.  Below degree 13 the two
+    rows give ``V`` and ``W``, with the odd part ``U = a W``.  Degree 13
+    uses only ``1, a^2, a^4, a^6``: rows 0 and 1 give the outer parts of
+    ``V`` and ``W``, rows 2 and 3 the inner parts that ``a^6`` multiplies.
+    """
+    f = math.factorial
+    b = [float(f(2 * m - j) // (f(j) * f(m - j))) for j in range(m + 1)]
+    if m < 13:
+        return np.array([b[0::2], b[1::2]])
+    return np.array([b[0:8:2], b[1:8:2], (0.0, *b[8::2]), (0.0, *b[9::2])])
+
+
+_PADE_ROWS = {m: _pade_rows(m) for m, _ in _PADE_THETA}
+
+
+def _expm_pair(a):
+    """``(exp(a), exp(-a))`` for a square array ``a``, from one set of powers.
+
+    Scaling and squaring with the diagonal Padé approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26(4), 2005): the degree is the lowest ``m`` in
+    3, 5, 7, 9, 13 whose ``theta_m`` bounds the column-l1 norm of ``a``;
+    above ``theta_13``, ``a`` is halved ``s`` times and both factors are
+    squared ``s`` times.  With ``U`` odd and ``V`` even in ``a``, the
+    approximant is ``r(a) = (V - U)^-1 (V + U)`` and ``r(-a) = (V + U)^-1
+    (V - U)`` exactly, so both factors come from one batched solve.
+    """
+    n = len(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            break
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    if s:
+        a = a * 0.5**s
+    rows = _PADE_ROWS[m]
+    powers = np.empty((rows.shape[1], n, n), dtype=np.result_type(a, 1.0))
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    vw = (rows @ powers.reshape(len(powers), -1)).reshape(-1, n, n)
+    if m == 13:
+        vw = vw[:2] + powers[3] @ vw[2:]
+    v, w = vw
+    u = a @ w
+    q = np.empty_like(vw)
+    np.subtract(v, u, out=q[0])
+    np.add(v, u, out=q[1])
+    pair = np.linalg.solve(q, q[::-1])
+    for _ in range(s):
+        pair = pair @ pair
+    return pair[0], pair[1]
+
+
 def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: float = 0.5) -> IdempotentPath:
     """Smooth path ``t -> exp(tX) p exp(-tX)`` for a random direction ``X``.
 
-    The only caller of SciPy in idemkit: ``scipy.linalg`` is imported here,
-    so a process that never samples such a path never loads it.
+    ``p`` is a 0/1 diagonal projector of the given rank and ``X`` has norm
+    ``spread``; each sample takes both exponentials from one
+    :func:`_expm_pair`.  Raises :class:`ConfigError` for a rank outside
+    ``[0, n]`` or a negative or non-finite spread.
     """
-    import scipy.linalg
-
-    rng = np.random.default_rng(seed)
     n = instance.n
+    if not 0 <= rank <= n:
+        raise ConfigError("rank out of range")
+    if not 0 <= spread < math.inf:
+        raise ConfigError("spread must be finite and nonnegative")
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x *= spread / float(instance.norm(x))
     p = np.zeros((n, n), dtype=complex)
@@ -200,8 +272,7 @@ def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: floa
     max_e = float(instance.norm(p)) * math.exp(2 * nx)
 
     def sample(t: float):
-        g = scipy.linalg.expm(t * x)
-        ginv = scipy.linalg.expm(-t * x)
+        g, ginv = _expm_pair(t * x)
         return g @ p @ ginv
 
     return IdempotentPath(instance, sample, lipschitz_hint=2 * nx * max_e * 1.5)

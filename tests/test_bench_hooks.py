@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idemkit import calculus, core
@@ -65,3 +66,10 @@ def test_tracer_installs_and_restores_every_hook():
 def test_benchmark_clears_the_memo_cache(cached):
     # a cache missing here would let cli-readme time a warm table
     assert any(fn is cached for fn in workloads.MEMO_CACHES)
+
+
+@pytest.mark.parametrize("seed", [*range(1, 11), 9001])
+def test_mc_trials_warm_up_ops_run_and_pass_their_checks(seed):
+    # a worker exits on any exception outside a timed op, warm-up included
+    for op in workloads.McTrials._ops(np.random.default_rng([seed, 2]), 0):
+        assert op.check(op.run()), op.label

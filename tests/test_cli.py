@@ -415,16 +415,19 @@ _SCIPY_GUARD = """
 import sys
 import idemkit, idemkit.cli
 from idemkit.cli import main
+from idemkit.homotopy import homotopy_invariance_experiment
 
 out = sys.argv[1]
 code = main(["k0", "--instance", '{"kind":"matrix","n":2}', "--out", out])
 print(code, "scipy" in sys.modules)
 code = main(["path-trivialize", "--n", "2", "--path", "random", "--tol", "1e-8", "--out", out])
 print(code, "scipy" in sys.modules)
+report = homotopy_invariance_experiment(2, 1, seed=0)
+print(int(not report.all_constant), "scipy" in sys.modules)
 """
 
 
-def test_scipy_is_loaded_only_by_a_random_path(tmp_path):
+def test_no_command_or_random_path_loads_scipy(tmp_path):
     # a fresh interpreter: this test process may have loaded SciPy already
     src = str(Path(idemkit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -436,4 +439,4 @@ def test_scipy_is_loaded_only_by_a_random_path(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["0 False", "0 True"]
+    assert proc.stdout.split("\n")[:3] == ["0 False"] * 3

@@ -153,6 +153,10 @@ def test_injective_uhf_swap_example():
     f_j = UHF4.push(f, 2, j)
     inst_j = UHF4.levels[j]
     assert inst_j.distance(inst_j.mul(e_j, res.unit.u), inst_j.mul(res.unit.u, f_j)) <= 1e-9
+    # the closing conjugation's two idempotents keep their defect entries
+    assert res.cert.names()[-2:] == ["closing:d:defect", "closing:f:defect"]
+    entry, oracle = res.cert.entry("closing:f:defect"), _cert(inst_j, f_j).cert.entry("defect")
+    assert (entry.lhs, entry.rhs, entry.holds) == (oracle.lhs, oracle.rhs, True)
 
 
 def test_injective_distinct_cylinders_never_conjugate():

@@ -7,7 +7,7 @@ import pytest
 
 from idemkit import homotopy
 from idemkit.calculus import certify_idempotent, certify_unit, conjugating_unit
-from idemkit.errors import PathError
+from idemkit.errors import ConfigError, PathError
 from idemkit.homotopy import (
     IdempotentPath,
     conjugation_path,
@@ -211,3 +211,36 @@ def test_experiment_forms_only_the_trivialization_products(monkeypatch):
         expected += _products(inst, lambda: path_trivialize(path, tol=1e-8))
     # classifying an endpoint reads the path's own certified sample
     assert total == expected
+
+
+# norms of ``a`` that reach each Padé degree 3, 5, 7, 9, 13 and the squaring branch
+_EXPM_NORMS = (0.01, 0.2, 0.9, 2.0, 5.0, 50.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_expm_pair_matches_scipy_expm(n):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    degree = lambda r: next((m for m, theta in homotopy._PADE_THETA if r <= theta), "squared")
+    assert [degree(r) for r in _EXPM_NORMS] == [3, 5, 7, 9, 13, "squared"]
+    inst = MatrixAlgebra(COMPLEX, n)
+    rng = np.random.default_rng([71, n])
+    for r in _EXPM_NORMS:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= r / inst.norm(a)
+        g, g_inv = homotopy._expm_pair(a)
+        for got, x in ((g, a), (g_inv, -a)):
+            ref = scipy_linalg.expm(x)
+            assert inst.distance(got, ref) <= 1e-13 * inst.norm(ref)
+        assert inst.distance(g @ g_inv, inst.one()) <= 1e-13 * inst.norm(g) * inst.norm(g_inv)
+
+
+@pytest.mark.parametrize("rank", [-1, 5, 9])
+def test_conjugation_path_rejects_a_rank_outside_the_size(rank):
+    with pytest.raises(ConfigError, match="rank"):
+        conjugation_path(MatrixAlgebra(COMPLEX, 4), rank, seed=0)
+
+
+@pytest.mark.parametrize("spread", [math.nan, math.inf, -math.inf, -0.5])
+def test_conjugation_path_rejects_a_negative_or_non_finite_spread(spread):
+    with pytest.raises(ConfigError, match="spread"):
+        conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=0, spread=spread)
