@@ -46,7 +46,6 @@ from .core import (
     AlgebraInstance,
     CertEntry,
     Certificate,
-    Element,
     NormValue,
     ScaledIntegers,
     check_norm_axioms,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every certificate in the report is valid, 2 when the
 experiment ran but produced an invalid certificate (a reproducible negative
-result), 1 on malformed input or a precondition failure.  Identical
+result), 1 on malformed input, a parser error included, or a precondition
+failure.  Each command accepts only the flags it reads.  Identical
 (config, seed) pairs produce byte-identical reports; per-trial randomness
 is derived deterministically from the master seed and the trial index.
 """
@@ -347,45 +348,62 @@ def _read_json_arg(text: str) -> dict:
             raise ConfigError(f"not valid JSON and not a readable file: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`ConfigError`, so a bad
+    flag or value exits 1 with one line, like any other malformed input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+#: every command-specific flag and how it parses
+_FLAGS = {
+    "--instance": {"help": "instance descriptor (inline JSON or file)"},
+    "--tower": {"help": "tower descriptor (inline JSON or file)"},
+    "--tol": {"type": float, "dest": "tolerance"},
+    "--trials": {"type": int},
+    "--eps": {"type": float},
+    "--defect": {"type": float},
+    "--variant": {"choices": ("corrected", "printed")},
+    "--direction": {"choices": ("sur", "inj")},
+    "--n": {"type": int},
+    "--path": {"choices": ("rotation", "random")},
+    "--support": {"type": int},
+    "--samples": {"type": int},
+}
+
+#: each command's help and the flags it reads besides --seed, --out and --format
+_COMMANDS = {
+    "lift": ("polish an almost-idempotent", ("--instance", "--tol", "--defect", "--variant")),
+    "k0": ("K0 presentation of an instance", ("--instance", "--tower")),
+    "transfer": (
+        "tower transfer experiments",
+        ("--tower", "--tol", "--trials", "--eps", "--direction"),
+    ),
+    "path-trivialize": ("trivialize an idempotent path", ("--tol", "--n", "--path")),
+    "swindle-check": ("verify the interleaving identity", ("--support",)),
+    "collapse": ("finite corner-span certificate", ("--instance", "--n")),
+    "norm-audit": ("norm-axiom audit on an instance", ("--instance", "--samples")),
+    "tensor-audit": ("projective tensor norm sweep", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idemkit",
         description="certified idempotent calculus experiments with JSON/CSV reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--instance", help="instance descriptor (inline JSON or file)")
-    common.add_argument("--tower", help="tower descriptor (inline JSON or file)")
     common.add_argument("--seed", type=int)
-    common.add_argument("--tol", type=float, dest="tolerance")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--eps", type=float)
     common.add_argument("--out", help="report file (stdout when omitted)")
     common.add_argument("--format", choices=("json", "csv"))
-
-    p = sub.add_parser("lift", parents=[common], help="polish an almost-idempotent")
-    p.add_argument("--defect", type=float)
-    p.add_argument("--variant", choices=("corrected", "printed"))
-
-    sub.add_parser("k0", parents=[common], help="K0 presentation of an instance")
-
-    p = sub.add_parser("transfer", parents=[common], help="tower transfer experiments")
-    p.add_argument("--direction", choices=("sur", "inj"))
-
-    p = sub.add_parser("path-trivialize", parents=[common], help="trivialize an idempotent path")
-    p.add_argument("--n", type=int)
-    p.add_argument("--path", choices=("rotation", "random"))
-
-    p = sub.add_parser("swindle-check", parents=[common], help="verify the interleaving identity")
-    p.add_argument("--support", type=int)
-
-    p = sub.add_parser("collapse", parents=[common], help="finite corner-span certificate")
-    p.add_argument("--n", type=int, default=16)
-
-    p = sub.add_parser("norm-audit", parents=[common], help="norm-axiom audit on an instance")
-    p.add_argument("--samples", type=int)
-
-    sub.add_parser("tensor-audit", parents=[common], help="projective tensor norm sweep")
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if command == "collapse":
+            p.set_defaults(n=16)  # path-trivialize keeps the config's n = 2
     return parser
 
 
@@ -399,10 +417,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(_build_parser().parse_args(argv))
         return run(config)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"idemkit: config error: {exc}", file=sys.stderr)

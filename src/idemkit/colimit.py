@@ -60,7 +60,7 @@ class LimitElement:
 
 def colim_norm_bound(tower: Tower, x: LimitElement) -> float:
     """Certified upper bound for the norm of ``x`` in the colimit."""
-    return float(tower.limit_norm_hint(x.level, x.representative)) + x.tail_bound
+    return float(tower.levels[x.level].norm(x.representative)) + x.tail_bound
 
 
 def _align(tower: Tower, x: LimitElement, y: LimitElement):

@@ -249,40 +249,6 @@ class AlgebraInstance(ABC):
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-@dataclass(frozen=True)
-class Element:
-    """Convenience wrapper tagging a value with its instance.
-
-    The module-level operations take ``(instance, value)`` pairs; this
-    wrapper is for interactive use and tests, where operator syntax is
-    nicer.
-    """
-
-    instance: AlgebraInstance
-    value: Any
-
-    def _lift(self, other):
-        if isinstance(other, Element):
-            return other.value
-        return other
-
-    def __add__(self, other):
-        return Element(self.instance, self.instance.add(self.value, self._lift(other)))
-
-    def __sub__(self, other):
-        return Element(self.instance, self.instance.sub(self.value, self._lift(other)))
-
-    def __mul__(self, other):
-        return Element(self.instance, self.instance.mul(self.value, self._lift(other)))
-
-    def __neg__(self):
-        return Element(self.instance, self.instance.neg(self.value))
-
-    @property
-    def norm(self) -> NormValue:
-        return self.instance.norm(self.value)
-
-
 # ---------------------------------------------------------------------------
 # scaled integers
 

@@ -58,7 +58,6 @@ class IdempotentPath:
     sampler: Callable[[float], object]
     lipschitz_hint: float
     sample_tol: float = 1e-9
-    _cache: dict = field(default_factory=dict, repr=False)
     _certified: dict = field(default_factory=dict, repr=False)
 
     def at(self, t: float):
@@ -74,7 +73,6 @@ class IdempotentPath:
                     f"path sample at t={t} fails the idempotent check: defect {defect}"
                 )
             self._certified[t] = sample
-            self._cache[t] = sample.e
         return self._certified[t]
 
 
@@ -100,14 +98,17 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     :meth:`IdempotentPath.certified`, and the composition starts from the
     first segment's unit, so ``k`` segments take ``k - 1`` composing
     products per side.  Raises
-    :class:`PathError` for a negative ``max_depth``, when some gap stays
-    above threshold at depth ``max_depth`` (the path is too wild for its
-    hint) or when the hint itself is violated.
+    :class:`PathError` for a negative ``max_depth`` or a hint that is not
+    finite, when some gap stays above threshold at depth ``max_depth``
+    (the path is too wild for its hint) or when the hint itself is
+    violated.
     """
     if max_depth < 0:
         raise PathError("max_depth must be nonnegative")
-    inst = path.instance
     L = float(path.lipschitz_hint)
+    if not math.isfinite(L):
+        raise PathError(f"the Lipschitz hint must be finite, got {L}")
+    inst = path.instance
     points = [0.0, 1.0]
 
     for depth in range(max_depth + 1):
@@ -255,7 +256,8 @@ def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: floa
     ``p`` is a 0/1 diagonal projector of the given rank and ``X`` has norm
     ``spread``; each sample takes both exponentials from one
     :func:`_expm_pair`.  Raises :class:`ConfigError` for a rank outside
-    ``[0, n]`` or a negative or non-finite spread.
+    ``[0, n]``, a negative or non-finite spread, or a spread so large
+    (about 350 or more) that the path's Lipschitz hint is not finite.
     """
     n = instance.n
     if not 0 <= rank <= n:
@@ -269,13 +271,19 @@ def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: floa
     idx = rng.permutation(n)[:rank]
     p[idx, idx] = 1.0
     nx = float(instance.norm(x))
-    max_e = float(instance.norm(p)) * math.exp(2 * nx)
+    try:
+        max_e = float(instance.norm(p)) * math.exp(2 * nx)
+    except OverflowError:
+        max_e = math.inf
+    hint = 2 * nx * max_e * 1.5
+    if not math.isfinite(hint):
+        raise ConfigError(f"spread {spread} gives a Lipschitz hint that is not finite")
 
     def sample(t: float):
         g, ginv = _expm_pair(t * x)
         return g @ p @ ginv
 
-    return IdempotentPath(instance, sample, lipschitz_hint=2 * nx * max_e * 1.5)
+    return IdempotentPath(instance, sample, lipschitz_hint=hint)
 
 
 @dataclass

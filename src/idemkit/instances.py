@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AlgebraInstance, NormValue, ScaledIntegers, as_fraction
+from .core import AlgebraInstance, ScaledIntegers, as_fraction
 from .errors import ConfigError, IdemkitError
 
 
@@ -286,9 +286,9 @@ class Tower:
     """A sequence of instances with norm-nonincreasing unital connecting maps.
 
     Models a sequential colimit of normed rings; the colimit itself is
-    never materialized.  ``limit_norm_hint(i, x)`` estimates the norm of a
-    level-``i`` element in the colimit; for the towers built here all
-    connecting maps are isometric, so the hint is the level norm.
+    never materialized.  ``_connect(i, x)`` is the image of a level-``i``
+    element at level ``i + 1``; for the towers built here every connecting
+    map is isometric, so a level norm is also the norm in the colimit.
     """
 
     kind: str
@@ -299,10 +299,6 @@ class Tower:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def connect(self, i: int, x):
-        """Image of a level-``i`` element at level ``i + 1``."""
-        return self._connect(i, x)
-
     def push(self, x, i: int, j: int):
         """Image of a level-``i`` element at level ``j >= i``."""
         if not 0 <= i <= j <= self.depth:
@@ -310,9 +306,6 @@ class Tower:
         for k in range(i, j):
             x = self._connect(k, x)
         return x
-
-    def limit_norm_hint(self, i: int, x) -> NormValue:
-        return self.levels[i].norm(x)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "depth": self.depth}

@@ -203,8 +203,8 @@ def test_criterion_09_deloop_shadows():
         assert ik.finite_collapse_certificate(n).valid
     swindle = ik.swindle_conjugator(4096)
     assert swindle.valid
-    assert swindle.collisions == 0
-    assert swindle.checked_columns == 4096
+    assert swindle.cert.entry("collisions").lhs == 0
+    assert swindle.to_json()["checked_columns"] == 4096
     _pass(9, "corner norm 1 exactly; collapse exact to n=64; swindle exhaustive to 4096")
 
 

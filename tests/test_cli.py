@@ -1,6 +1,7 @@
 """CLI configs, exit codes, report formats and reproducibility."""
 
 import csv
+import importlib.util
 import json
 import os
 import shlex
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idemkit
-from idemkit.cli import ExperimentConfig, build_report, main, run
+from idemkit.cli import ExperimentConfig, _build_parser, build_report, config_from_args, main, run
 from idemkit.core import Certificate
 from idemkit.errors import ConfigError
 from idemkit.report import render_report
+from test_bench_hooks import workloads
 
 
 def test_config_round_trips_through_serialization():
@@ -288,23 +290,26 @@ def test_huge_n_exits_one_before_allocating(command, n, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, setting",
     [
-        pytest.param(["lift", "--tol", "inf"], id="tol-inf"),
-        pytest.param(["lift", "--tol", "nan"], id="tol-nan"),
-        pytest.param(["transfer", "--direction", "inj", "--eps", "1e300"], id="eps-1e300"),
-        pytest.param(["transfer", "--direction", "inj", "--eps", "nan"], id="eps-nan"),
-        pytest.param(["transfer", "--direction", "sur", "--eps", "0.25"], id="eps-quarter"),
-        pytest.param(["transfer", "--eps", "0"], id="eps-0"),
-        pytest.param(["norm-audit", "--samples", "65"], id="samples-65"),
-        pytest.param(["norm-audit", "--samples", "-1"], id="samples-negative"),
+        pytest.param(["lift", "--tol", "inf"], "tolerance", id="tol-inf"),
+        pytest.param(["lift", "--tol", "nan"], "tolerance", id="tol-nan"),
+        pytest.param(["transfer", "--direction", "inj", "--eps", "1e300"], "eps", id="eps-1e300"),
+        pytest.param(["transfer", "--direction", "inj", "--eps", "nan"], "eps", id="eps-nan"),
+        pytest.param(["transfer", "--direction", "sur", "--eps", "0.25"], "eps", id="eps-quarter"),
+        pytest.param(["transfer", "--eps", "0"], "eps", id="eps-0"),
+        pytest.param(["norm-audit", "--samples", "65"], "--samples", id="samples-65"),
+        pytest.param(["norm-audit", "--samples", "-1"], "--samples", id="samples-negative"),
     ],
 )
-def test_vacuous_or_oversized_knobs_exit_one_with_one_line(args, capsys):
-    assert main([*args, "--trials", "1"]) == 1
+def test_vacuous_or_oversized_knobs_exit_one_with_one_line(args, setting, capsys):
+    # one trial keeps a transfer that wrongly ran short; no other command reads --trials
+    trials = ["--trials", "1"] if args[0] == "transfer" else []
+    assert main([*args, *trials]) == 1
     err = capsys.readouterr().err
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1
+    assert setting in err
 
 
 def test_k0_on_functions_samples_bit_vectors(tmp_path):
@@ -440,3 +445,123 @@ def test_no_command_or_random_path_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["0 False"] * 3
+
+
+def _load_compare_reports():
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("idemkit_tools_compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CHECKED_ARGS = [args for args, _ in workloads.readme_commands(7)]
+_CHECKED_ARGS += _load_compare_reports().DEFAULT_EXTRAS
+
+
+@pytest.mark.parametrize("args", _CHECKED_ARGS, ids=shlex.join)
+def test_readme_and_comparison_commands_parse(args):
+    config = config_from_args(_build_parser().parse_args(args))
+    assert config.command == args[0]
+
+
+def test_collapse_keeps_its_own_default_size():
+    assert config_from_args(_build_parser().parse_args(["collapse"])).n == 16
+    assert config_from_args(_build_parser().parse_args(["path-trivialize"])).n == 2
+
+
+#: the flags every command takes
+_COMMON_FLAGS = {"--seed", "--out", "--format"}
+
+#: the flags each command reads besides the common ones
+_COMMAND_FLAGS = {
+    "lift": {"--instance", "--tol", "--defect", "--variant"},
+    "k0": {"--instance", "--tower"},
+    "transfer": {"--tower", "--tol", "--trials", "--eps", "--direction"},
+    "path-trivialize": {"--tol", "--n", "--path"},
+    "swindle-check": {"--support"},
+    "collapse": {"--instance", "--n"},
+    "norm-audit": {"--instance", "--samples"},
+    "tensor-audit": set(),
+}
+
+#: a valid value for each flag of any command
+_FLAG_VALUES = {
+    "--seed": "1",
+    "--out": "report.out",
+    "--format": "json",
+    "--instance": '{"kind":"complex"}',
+    "--tower": '{"kind":"uhf","depth":1}',
+    "--tol": "1e-9",
+    "--trials": "1",
+    "--eps": "0.01",
+    "--defect": "0.1",
+    "--variant": "corrected",
+    "--direction": "sur",
+    "--n": "2",
+    "--path": "rotation",
+    "--support": "4",
+    "--samples": "1",
+}
+
+_UNREAD = [
+    (command, flag)
+    for command, own in _COMMAND_FLAGS.items()
+    for flag in _FLAG_VALUES
+    if flag not in own | _COMMON_FLAGS
+]
+
+
+def test_each_command_parses_exactly_the_flags_it_reads():
+    accepted = []
+    for command in _COMMAND_FLAGS:
+        for flag, value in _FLAG_VALUES.items():
+            try:
+                _build_parser().parse_args([command, flag, value])
+            except ConfigError:
+                continue
+            accepted.append((command, flag))
+    assert set(accepted) == {
+        (command, flag)
+        for command, own in _COMMAND_FLAGS.items()
+        for flag in own | _COMMON_FLAGS
+    }
+    assert len(accepted) == 43
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD, ids=" ".join)
+def test_a_flag_the_command_does_not_read_exits_one_with_one_line(command, flag, tmp_path, capsys):
+    out = tmp_path / "report.out"
+    assert main([command, flag, _FLAG_VALUES[flag], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"idemkit: config error: unrecognized arguments: {flag} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, setting",
+    [
+        pytest.param(["lift", "--variant", "foo"], "--variant", id="variant-foo"),
+        pytest.param(["lift", "--format", "xml"], "--format", id="format-xml"),
+        pytest.param(["collapse", "--n", "x"], "--n", id="n-not-an-int"),
+        pytest.param(["mystery"], "mystery", id="unknown-command"),
+        pytest.param([], "command", id="no-command"),
+    ],
+)
+def test_parser_errors_exit_one_with_one_line(args, setting, tmp_path, capsys):
+    out = tmp_path / "report.out"
+    assert main([*args, "--out", str(out)] if args else args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+    assert setting in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["lift", "--help"], ["tensor-audit", "-h"]])
+def test_help_still_exits_zero(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: idemkit")

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from idemkit.core import (
     Certificate,
     CertEntry,
-    Element,
     GROUP_AXIOM_PREFIXES,
     ScaledIntegers,
     _min_term_cost,
@@ -219,17 +218,6 @@ def test_fractional_scale_norms_stay_fractions():
     m = MatrixAlgebra(inst, 2)
     x = np.array([[1, -2], [4, 4]], dtype=object)
     assert type(m.norm(x)) is Fraction and m.norm(x) == 3
-
-
-def test_element_wrapper_arithmetic():
-    z = ScaledIntegers(2)
-    x = Element(z, 3)
-    y = Element(z, -1)
-    assert (x + y).value == 2
-    assert (x * y).value == -3
-    assert (-x).value == -3
-    assert (x - y).value == 4
-    assert x.norm == 6
 
 
 def test_int_scale_matches_repeated_addition():

@@ -73,8 +73,8 @@ def test_rank_constant_at_every_sample():
         path_trivialize(path, tol=1e-8)
         inst = path.instance
         keys = {
-            classify(inst, certify_idempotent(inst, e, 1e-8)).key
-            for e in path._cache.values()
+            classify(inst, certify_idempotent(inst, sample.e, 1e-8)).key
+            for sample in path._certified.values()
         }
         assert len(keys) == 1
 
@@ -147,7 +147,7 @@ def _paths():
 @pytest.mark.parametrize("path", _paths(), ids=["rotation3", "random4-3", "random4-11", "random4-12"])
 def test_trivialization_equals_the_explicit_composition_from_one(path):
     unit = path_trivialize(path, tol=1e-8)
-    inst, points = path.instance, sorted(path._cache)
+    inst, points = path.instance, sorted(path._certified)
     seg_tol = 1e-8 / (100 * (len(points) - 1))
     samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
     assert [s.cert for s in samples] == [path.certified(t).cert for t in points]
@@ -167,7 +167,7 @@ def test_trivialization_composes_segments_minus_one_pairs():
     unit = []
     total = _products(inst, lambda: unit.append(path_trivialize(path, tol=1e-8)))
     segments = int(unit[0].cert.entry("segments").lhs)
-    samples = [path.certified(t) for t in sorted(path._cache)]
+    samples = [path.certified(t) for t in sorted(path._certified)]
     assert len(samples) == segments + 1 > 2
     seg_tol = 1e-8 / (100 * segments)
     units = _products(
@@ -244,3 +244,22 @@ def test_conjugation_path_rejects_a_rank_outside_the_size(rank):
 def test_conjugation_path_rejects_a_negative_or_non_finite_spread(spread):
     with pytest.raises(ConfigError, match="spread"):
         conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=0, spread=spread)
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+def test_conjugation_path_rejects_a_spread_whose_hint_overflows(rank):
+    # exp(2 * spread) overflows a float above a spread of about 355
+    with pytest.raises(ConfigError, match="Lipschitz hint"):
+        conjugation_path(MatrixAlgebra(COMPLEX, 4), rank, seed=0, spread=400.0)
+    path = conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=0, spread=300.0)
+    assert math.isfinite(path.lipschitz_hint)
+
+
+@pytest.mark.parametrize("hint", [math.inf, math.nan])
+def test_path_trivialize_rejects_a_non_finite_hint_before_sampling(hint):
+    calls = []
+    sampler = rotation_path(M2).sampler
+    path = IdempotentPath(M2, lambda t: calls.append(t) or sampler(t), lipschitz_hint=hint)
+    with pytest.raises(PathError, match="Lipschitz hint must be finite"):
+        path_trivialize(path, tol=1e-8)
+    assert calls == []

@@ -191,7 +191,7 @@ def test_uhf_tower_shape_and_unitality():
     tower = make_uhf_tower(3)
     assert [lv.n for lv in tower.levels] == [1, 2, 4, 8]
     for i in range(tower.depth):
-        image = tower.connect(i, tower.levels[i].one())
+        image = tower.push(tower.levels[i].one(), i, i + 1)
         assert tower.levels[i + 1].distance(image, tower.levels[i + 1].one()) == 0.0
 
 
@@ -201,7 +201,7 @@ def test_uhf_connecting_maps_are_short_on_samples():
     for _ in range(100):
         i = int(rng.integers(0, tower.depth))
         x = tower.levels[i].random_element(rng)
-        assert tower.levels[i + 1].norm(tower.connect(i, x)) <= tower.levels[i].norm(x) + 1e-12
+        assert tower.levels[i + 1].norm(tower.push(x, i, i + 1)) <= tower.levels[i].norm(x) + 1e-12
 
 
 def test_uhf_normalized_trace_preserved_on_idempotents():
@@ -212,7 +212,7 @@ def test_uhf_normalized_trace_preserved_on_idempotents():
         inst = tower.levels[i]
         e = conjugated_projector(inst, int(rng.integers(0, inst.n + 1)), rng, spread=0.4)
         before = np.trace(e) / inst.n
-        after = np.trace(tower.connect(i, e)) / tower.levels[i + 1].n
+        after = np.trace(tower.push(e, i, i + 1)) / tower.levels[i + 1].n
         assert abs(before - after) < 1e-10
 
 
@@ -234,7 +234,7 @@ def test_cantor_connecting_maps_are_short_and_unital():
     for _ in range(100):
         i = int(rng.integers(0, tower.depth))
         x = tower.levels[i].random_element(rng)
-        assert tower.levels[i + 1].norm(tower.connect(i, x)) <= tower.levels[i].norm(x) + 1e-12
+        assert tower.levels[i + 1].norm(tower.push(x, i, i + 1)) <= tower.levels[i].norm(x) + 1e-12
     one = tower.levels[0].one()
     assert tower.levels[2].distance(tower.push(one, 0, 2), tower.levels[2].one()) == 0.0
 

@@ -41,6 +41,9 @@ DEFAULT_EXTRAS = [
     ["transfer", "--tower", '{"kind":"cantor","depth":8}', "--direction", "sur", "--trials", "100"],
     ["path-trivialize", "--n", "4", "--path", "random"],
     ["k0", "--instance", '{"kind":"matrix","n":8}'],
+    # the parser's own defaults, which no README command leaves unset
+    ["collapse"],
+    ["lift"],
 ]
 
 _RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
