@@ -113,7 +113,7 @@ def _report_skeleton(config: ExperimentConfig) -> dict:
 
 
 def _run_lift(config: ExperimentConfig, report: dict) -> None:
-    inst = parse_instance(config.instance or {"kind": "complex"})
+    inst = parse_instance({"kind": "complex"} if config.instance is None else config.instance)
     if isinstance(inst, MatrixAlgebra) and over_complex(inst):
         a = random_almost_idempotent(inst, config.defect, seed=config.seed)
     elif isinstance(inst, ComplexScalars):
@@ -132,7 +132,7 @@ def _run_lift(config: ExperimentConfig, report: dict) -> None:
 
 
 def _run_k0(config: ExperimentConfig, report: dict) -> None:
-    desc = config.instance or config.tower or {"kind": "matrix", "n": 2}
+    desc = {"kind": "matrix", "n": 2} if config.instance is None else config.instance
     obj = parse_tower(desc) if desc.get("kind") in TOWER_KINDS else parse_instance(desc)
     pres = k0mod.k0_of_instance(obj)
     report["k0"] = pres.to_json()
@@ -168,7 +168,7 @@ def _k0_samples(obj, seed: int, report: dict) -> list:
 
 
 def _run_transfer(config: ExperimentConfig, report: dict) -> None:
-    tower = parse_tower(config.tower or {"kind": "uhf", "depth": 4})
+    tower = parse_tower({"kind": "uhf", "depth": 4} if config.tower is None else config.tower)
     if config.direction == "sur":
         cmp_report = colimit.k0_colimit_compare(tower, config.trials, config.seed, config.eps)
         report["transfer"] = cmp_report.to_json()
@@ -251,7 +251,7 @@ def _run_swindle(config: ExperimentConfig, report: dict) -> None:
 
 
 def _run_collapse(config: ExperimentConfig, report: dict) -> None:
-    inner = parse_instance(config.instance) if config.instance else COMPLEX
+    inner = COMPLEX if config.instance is None else parse_instance(config.instance)
     collapse = deloop.finite_collapse_certificate(config.n, inner)
     report["collapse"] = {
         "n": collapse.n,
@@ -269,7 +269,7 @@ def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
         raise ConfigError(
             f"norm-audit --samples must be between 0 and {MAX_AUDIT_SAMPLES}, got {config.samples}"
         )
-    inst = parse_instance(config.instance or {"kind": "complex"})
+    inst = parse_instance({"kind": "complex"} if config.instance is None else config.instance)
     rng = np.random.default_rng(config.seed)
     samples = [inst.one(), inst.zero()] + [
         inst.random_element(rng) for _ in range(config.samples)
@@ -337,15 +337,19 @@ def run(config: ExperimentConfig) -> int:
 # argument parsing
 
 
-def _read_json_arg(text: str) -> dict:
-    """Inline JSON, or a path to a JSON file."""
+def _read_descriptor(name: str, text: str) -> dict:
+    """A JSON object, inline or in a file; ``null`` or any other JSON value
+    is rejected rather than read as the omitted flag."""
     try:
-        return json.loads(text)
+        desc = json.loads(text)
     except json.JSONDecodeError:
         try:
-            return json.loads(Path(text).read_bytes())
+            desc = json.loads(Path(text).read_bytes())
         except (OSError, ValueError):  # ValueError: undecodable bytes or a NUL in the path
             raise ConfigError(f"not valid JSON and not a readable file: {text!r}") from None
+    if not isinstance(desc, dict):
+        raise ConfigError(f"the {name} descriptor must be a JSON object, got {text!r}")
+    return desc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -358,7 +362,7 @@ class _Parser(argparse.ArgumentParser):
 
 #: every command-specific flag and how it parses
 _FLAGS = {
-    "--instance": {"help": "instance descriptor (inline JSON or file)"},
+    "--instance": {"help": "instance descriptor (inline JSON or file); k0 takes a tower too"},
     "--tower": {"help": "tower descriptor (inline JSON or file)"},
     "--tol": {"type": float, "dest": "tolerance"},
     "--trials": {"type": int},
@@ -375,7 +379,7 @@ _FLAGS = {
 #: each command's help and the flags it reads besides --seed, --out and --format
 _COMMANDS = {
     "lift": ("polish an almost-idempotent", ("--instance", "--tol", "--defect", "--variant")),
-    "k0": ("K0 presentation of an instance", ("--instance", "--tower")),
+    "k0": ("K0 presentation of an instance or a tower", ("--instance",)),
     "transfer": (
         "tower transfer experiments",
         ("--tower", "--tol", "--trials", "--eps", "--direction"),
@@ -412,7 +416,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     d = {k: v for k, v in vars(args).items() if v is not None}
     for key in ("instance", "tower"):
         if key in d:
-            d[key] = _read_json_arg(d[key])
+            d[key] = _read_descriptor(key, d[key])
     return ExperimentConfig.from_dict(d)
 
 

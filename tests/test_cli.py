@@ -416,6 +416,31 @@ def test_bad_seeds_and_paths_exit_one_with_one_line(args, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lift", "--instance", "{}"],
+        ["lift", "--instance", "null"],
+        ["k0", "--instance", "{}"],
+        ["k0", "--instance", "null"],
+        ["collapse", "--instance", "{}"],
+        ["norm-audit", "--instance", "{}"],
+        ["transfer", "--tower", "{}"],
+        ["transfer", "--tower", "null"],
+    ],
+    ids=shlex.join,
+)
+def test_an_empty_or_null_descriptor_exits_one_with_one_line(args, tmp_path, capsys):
+    # an explicit descriptor is never read as the omitted flag's default
+    out = tmp_path / "report.out"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+    assert "descriptor" in err
+    assert not out.exists()
+
+
 _SCIPY_GUARD = """
 import sys
 import idemkit, idemkit.cli
@@ -465,6 +490,24 @@ def test_readme_and_comparison_commands_parse(args):
     assert config.command == args[0]
 
 
+def test_compare_reports_names_what_changed_inside_a_json_report():
+    tool = _load_compare_reports()
+    old = b'{"a":[1,{"x":NaN}],"b":1,"c":"s"}\n'
+    assert tool.report_lines(old, b'{"c": "s", "b": 1, "a": [1, {"x": NaN}]}') == [
+        "same document"
+    ]
+    assert tool.report_lines(old, b'{"a":[1.0,{"x":2},3],"b":true}') == [
+        "a[0]: 1 -> 1.0",
+        "a[1].x: NaN -> 2",
+        "a[2]: (absent) -> 3",
+        "b: 1 -> true",
+        'c: "s" -> (absent)',
+    ]
+    many = tool.report_lines(b"[]", json.dumps(list(range(12))).encode())
+    assert len(many) == tool.MAX_PATHS + 1 and many[-1] == "... 2 more differing paths"
+    assert tool.report_lines(None, old) == tool.report_lines(b"a,b\n", b"a,c\n") == []
+
+
 def test_collapse_keeps_its_own_default_size():
     assert config_from_args(_build_parser().parse_args(["collapse"])).n == 16
     assert config_from_args(_build_parser().parse_args(["path-trivialize"])).n == 2
@@ -476,7 +519,7 @@ _COMMON_FLAGS = {"--seed", "--out", "--format"}
 #: the flags each command reads besides the common ones
 _COMMAND_FLAGS = {
     "lift": {"--instance", "--tol", "--defect", "--variant"},
-    "k0": {"--instance", "--tower"},
+    "k0": {"--instance"},
     "transfer": {"--tower", "--tol", "--trials", "--eps", "--direction"},
     "path-trivialize": {"--tol", "--n", "--path"},
     "swindle-check": {"--support"},
@@ -526,7 +569,7 @@ def test_each_command_parses_exactly_the_flags_it_reads():
         for command, own in _COMMAND_FLAGS.items()
         for flag in own | _COMMON_FLAGS
     }
-    assert len(accepted) == 43
+    assert len(accepted) == 42
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD, ids=" ".join)

@@ -11,6 +11,10 @@ with ``--seed`` appended, runs once in each checkout as a subprocess of
 and one BLAS thread.  Each run writes its report with ``--out`` into a
 fresh directory.  Exit code, stdout, stderr and report bytes are compared;
 every difference is printed, and the exit status is 1 if there is any.
+When both reports parse as JSON, a byte difference is followed by
+``same document`` if they parse to equal documents (equal types, NaN equal
+to NaN), or else by up to 10 differing paths, each with the parent's value
+and this checkout's, such as ``certificates[3].entries[1].lhs: 0.1 -> 0.2``.
 
 With ``--repeat N`` each command runs N times per side instead, the two
 sides taking turns at going first, and the wall time of each subprocess,
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import shlex
 import statistics
@@ -47,6 +52,56 @@ DEFAULT_EXTRAS = [
 ]
 
 _RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+#: most differing paths printed per report
+MAX_PATHS = 10
+
+_ABSENT = object()
+
+
+def document_diffs(old, new, path: str = ""):
+    """``(path, old value, new value)`` at each place two parsed JSON
+    documents differ; a key or item only one side has pairs with ``_ABSENT``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from document_diffs(
+                old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}" if path else key
+            )
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from document_diffs(
+                old[i] if i < len(old) else _ABSENT,
+                new[i] if i < len(new) else _ABSENT,
+                f"{path}[{i}]",
+            )
+    elif not _same(old, new):
+        yield path, old, new
+
+
+def _same(a, b) -> bool:
+    # == alone would equate 1, 1.0 and True, and tell NaN from itself
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def _value_text(value) -> str:
+    text = "(absent)" if value is _ABSENT else json.dumps(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def report_lines(old: bytes, new: bytes) -> list[str]:
+    """What changed between two reports that both parse as JSON: ``same
+    document``, or up to ``MAX_PATHS`` differing paths; nothing otherwise."""
+    try:
+        old_doc, new_doc = json.loads(old), json.loads(new)
+    except (TypeError, ValueError):  # no report, or a CSV one
+        return []
+    diffs = list(document_diffs(old_doc, new_doc))
+    if not diffs:
+        return ["same document"]
+    lines = [f"{p}: {_value_text(a)} -> {_value_text(b)}" for p, a, b in diffs[:MAX_PATHS]]
+    if len(diffs) > MAX_PATHS:
+        lines.append(f"... {len(diffs) - MAX_PATHS} more differing paths")
+    return lines
 
 
 def load_workloads():
@@ -123,6 +178,9 @@ def main(argv=None) -> int:
                 if diffs:
                     differing += 1
                     print(f"DIFF ({', '.join(diffs)}): {shlex.join(args)}")
+                    if "report" in diffs:
+                        for line in report_lines(outputs["parent"][3], outputs["here"][3]):
+                            print(f"  {line}")
                 if opts.repeat:
                     medians = {side: statistics.median(w) for side, w in walls.items()}
                     for side, median in medians.items():
