@@ -45,7 +45,9 @@ class ExperimentConfig:
     """One experiment: command, descriptors, seed and knobs.
 
     Round-trips through ``to_dict``/``from_dict``; unknown fields are
-    rejected so a stale config file fails loudly.
+    rejected so a stale config file fails loudly, and so is a field the
+    command does not read (see ``_COMMANDS``) that is set off its default,
+    so that it cannot produce a vacuous report.
     """
 
     command: str
@@ -83,6 +85,13 @@ class ExperimentConfig:
             raise ConfigError(f"eps must satisfy 0 < eps < 1/4, got {self.eps!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
+        unread = [
+            f.name
+            for f in dataclasses.fields(self)
+            if f.name not in _READ_FIELDS[self.command] and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ConfigError(f"{self.command} does not read the config fields {unread}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -389,6 +398,14 @@ _COMMANDS = {
     "collapse": ("finite corner-span certificate", ("--instance", "--n")),
     "norm-audit": ("norm-axiom audit on an instance", ("--instance", "--samples")),
     "tensor-audit": ("projective tensor norm sweep", ()),
+}
+
+
+#: the config fields each command reads: its flags' and the common ones
+_READ_FIELDS = {
+    command: {"command", "seed", "out", "format"}
+    | {_FLAGS[flag].get("dest", flag[2:]) for flag in flags}
+    for command, (_, flags) in _COMMANDS.items()
 }
 
 

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -31,6 +32,27 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"command": "lift", "wat": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig(command="mystery")
+
+
+@pytest.mark.parametrize(
+    "d, unread",
+    [
+        ({"command": "k0", "tower": {"kind": "uhf", "depth": 3}}, "['tower']"),
+        ({"command": "lift", "trials": 5, "support": 3}, "['trials', 'support']"),
+    ],
+)
+def test_config_rejects_a_field_the_command_does_not_read(d, unread):
+    # the k0 config would report the default 2 x 2 matrices' Z, not the tower's Z[1/2]
+    message = f"{d['command']} does not read the config fields {unread}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(d)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**d)
+
+
+def test_config_accepts_an_unread_field_at_its_default():
+    config = ExperimentConfig.from_dict({"command": "lift", "trials": 100, "support": 1024})
+    assert config == ExperimentConfig(command="lift")
 
 
 def test_k0_on_matrix_reports_z(tmp_path, capsys):
@@ -488,6 +510,7 @@ _CHECKED_ARGS += _load_compare_reports().DEFAULT_EXTRAS
 def test_readme_and_comparison_commands_parse(args):
     config = config_from_args(_build_parser().parse_args(args))
     assert config.command == args[0]
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
 def test_compare_reports_names_what_changed_inside_a_json_report():
@@ -506,6 +529,16 @@ def test_compare_reports_names_what_changed_inside_a_json_report():
     many = tool.report_lines(b"[]", json.dumps(list(range(12))).encode())
     assert len(many) == tool.MAX_PATHS + 1 and many[-1] == "... 2 more differing paths"
     assert tool.report_lines(None, old) == tool.report_lines(b"a,b\n", b"a,c\n") == []
+
+
+def test_compare_reports_runs_a_command_and_reads_its_peak_rss(tmp_path):
+    tool = _load_compare_reports()
+    (code, stdout, stderr, report), wall, peak_mb = tool.run(
+        tool.ROOT, ["swindle-check", "--support", "4"], tmp_path / "run"
+    )
+    assert (code, stdout, stderr) == (0, b"", b"")
+    assert json.loads(report)["summary"]["all_certificates_valid"]
+    assert wall > 0 and peak_mb > 1
 
 
 def test_collapse_keeps_its_own_default_size():

@@ -1,5 +1,7 @@
 """Column-sparse operators, the corner, collapse and swindle checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,11 @@ def test_dyadic_pairing_round_trips_on_arrays():
     assert i.dtype == j.dtype == np.int64
     assert np.array_equal(_dyadic_pair(i, j), n)
     assert list(zip(i.tolist(), j.tolist())) == [_scalar_unpair(k) for k in range(2**17)]
+    i32, j32 = _dyadic_unpair(n.astype(np.int32))
+    assert i32.dtype == j32.dtype == np.int32
+    assert np.array_equal(i32, i) and np.array_equal(j32, j)
+    assert _dyadic_pair(i32, j32).dtype == np.int32
+    assert np.array_equal(_dyadic_pair(i32, j32), n)
 
 
 def test_swindle_certificate_catches_a_non_injective_pairing(monkeypatch):
@@ -158,6 +165,86 @@ def test_swindle_certificate_catches_a_non_injective_pairing(monkeypatch):
     assert report.cert.entry("conjugation-mismatches").lhs == 0
     assert report.cert.entry("pairing-collisions").lhs > 0
     assert not report.valid
+    counts = [e.lhs for e in report.cert.entries]
+    assert counts == _whole_array_swindle_counts(4096) == [0, 0, 0, 126]
+
+
+def _whole_array_swindle_counts(support):
+    """The four counts of the swindle check on int64 arrays over the whole
+    support at once, as the check ran before it walked blocks.  It pairs
+    through the module's functions, so a patched pairing reaches it too."""
+    pair, unpair = deloop._dyadic_pair, deloop._dyadic_unpair
+
+    def repeats(values):
+        ordered = np.sort(values, axis=None)
+        return int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+
+    half = np.arange(support, dtype=np.int64)[:, None]
+    parity = np.arange(2, dtype=np.int64)
+    images = 2 * half + parity
+    collisions = repeats(images)
+    back_half, back_parity = np.divmod(images, 2)
+    roundtrip_failures = int(np.count_nonzero((back_half != half) | (back_parity != parity)))
+
+    cols = np.arange(support + 2, dtype=np.int64)
+    x_rows, x_vals = cols + 1, np.ones_like(cols)
+    y_rows, y_vals = cols + 2, np.ones_like(cols)
+
+    col = cols[:support]
+    k, copy = np.divmod(col, 2)
+    i, j = unpair(k)
+    t_rows = pair(i, y_rows[j])
+    conj_rows = np.where(copy == 0, 2 * x_rows[k], 2 * t_rows + 1)
+    conj_vals = np.where(copy == 0, x_vals[k], y_vals[j])
+
+    even, odd = col[0::2] // 2, (col[1::2] - 1) // 2
+    i, j = unpair(odd)
+    inter_rows, inter_vals = np.empty_like(col), np.empty_like(col)
+    inter_rows[0::2], inter_vals[0::2] = 2 * x_rows[even], x_vals[even]
+    inter_rows[1::2], inter_vals[1::2] = 2 * pair(i, y_rows[j]) + 1, y_vals[j]
+    mismatched = (conj_rows != inter_rows) | (conj_vals != inter_vals)
+    conjugation_mismatches = int(np.count_nonzero(mismatched))
+
+    pairing_collisions = repeats(t_rows[copy == 1])
+    return [collisions, roundtrip_failures, conjugation_mismatches, pairing_collisions]
+
+
+BLOCK = deloop.SWINDLE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "support", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 2**16]
+)
+def test_blocked_swindle_counts_equal_the_whole_array_check(support):
+    report = swindle_conjugator(support)
+    assert [e.lhs for e in report.cert.entries] == _whole_array_swindle_counts(support)
+
+
+def test_swindle_counts_a_pairing_collision_between_two_blocks(monkeypatch):
+    # column 1 lies in block 0 and column BLOCK + 1 in block 1; the mutant
+    # sends the latter's paired row onto the former's, and nothing else moves
+    pair = deloop._dyadic_pair
+    first = pair(0, 2)  # column 1: k = 0 unpairs to (0, 0), and y shifts j by 2
+    i, j = _scalar_unpair(BLOCK // 2)
+    later = pair(i, j + 2)
+    monkeypatch.setattr(
+        deloop, "_dyadic_pair", lambda i, j: np.where(pair(i, j) == later, first, pair(i, j))
+    )
+    report = swindle_conjugator(2 * BLOCK + 1)
+    assert report.cert.entry("conjugation-mismatches").lhs == 0
+    assert report.cert.entry("pairing-collisions").lhs == 1
+    assert not report.valid
+
+
+def test_swindle_working_set_stays_small_at_the_cap():
+    # the whole-array check peaked at 11.25 MB here
+    tracemalloc.start()
+    try:
+        swindle_conjugator(2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_swindle_support_bounds():

@@ -18,10 +18,11 @@ and this checkout's, such as ``certificates[3].entries[1].lhs: 0.1 -> 0.2``.
 
 With ``--repeat N`` each command runs N times per side instead, the two
 sides taking turns at going first, and the wall time of each subprocess,
-interpreter start included, is recorded.  The median per command and the
-sum of those medians per side are printed; the reports of the first run
-of each side are the ones compared, and the exit status still reports
-only differences.
+interpreter start included, and its peak RSS (``ru_maxrss`` from
+``os.wait4``) are recorded.  The median wall time and peak RSS per command
+are printed, then per side the sum of the median wall times and the
+largest median peak RSS; the reports of the first run of each side are the
+ones compared, and the exit status still reports only differences.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def load_workloads():
 
 
 def run(checkout: Path, args: list[str], workdir: Path) -> tuple:
-    """``((exit code, stdout, stderr, report bytes or None), wall seconds)``
-    of one command."""
+    """``((exit code, stdout, stderr, report bytes or None), wall seconds,
+    peak RSS in MB)`` of one command; the peak is the child's ``ru_maxrss``
+    from ``os.wait4``."""
     workdir.mkdir()
     env = {
         **os.environ,
@@ -125,17 +127,23 @@ def run(checkout: Path, args: list[str], workdir: Path) -> tuple:
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
     }
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_CLI, *args, "--out", "report.out"],
-        cwd=workdir,
-        env=env,
-        capture_output=True,
-    )
-    wall = time.perf_counter() - start
-    out = workdir / "report.out"
-    report = out.read_bytes() if out.exists() else None
-    return (proc.returncode, proc.stdout, proc.stderr, report), wall
+    stdout, stderr = workdir / "stdout", workdir / "stderr"
+    with open(stdout, "wb") as out, open(stderr, "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _RUN_CLI, *args, "--out", "report.out"],
+            cwd=workdir,
+            env=env,
+            stdout=out,
+            stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    report_path = workdir / "report.out"
+    report = report_path.read_bytes() if report_path.exists() else None
+    result = (proc.returncode, stdout.read_bytes(), stderr.read_bytes(), report)
+    return result, wall, usage.ru_maxrss / 1024  # kilobytes on Linux
 
 
 def main(argv=None) -> int:
@@ -160,18 +168,22 @@ def main(argv=None) -> int:
     compared = differing = 0
     sides = [("here", ROOT), ("parent", parent)]
     totals = {"here": 0.0, "parent": 0.0}
+    largest_rss = {"here": 0.0, "parent": 0.0}
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in opts.seeds:
             commands = [args for args, _ in workloads.readme_commands(seed)]
             commands += [[*args, "--seed", str(seed)] for args in extras]
             for args in commands:
-                outputs, walls = {}, {"here": [], "parent": []}
+                outputs = {}
+                walls, rss = {"here": [], "parent": []}, {"here": [], "parent": []}
                 for rep in range(max(1, opts.repeat)):
                     for side, checkout in sides if rep % 2 == 0 else sides[::-1]:
-                        result, wall = run(checkout, args, Path(tmp) / f"{compared}-{side}-{rep}")
+                        workdir = Path(tmp) / f"{compared}-{side}-{rep}"
+                        result, wall, peak = run(checkout, args, workdir)
                         outputs.setdefault(side, result)
                         walls[side].append(wall)
+                        rss[side].append(peak)
                 compared += 1
                 pairs = zip(fields, outputs["here"], outputs["parent"])
                 diffs = [name for name, a, b in pairs if a != b]
@@ -183,17 +195,23 @@ def main(argv=None) -> int:
                             print(f"  {line}")
                 if opts.repeat:
                     medians = {side: statistics.median(w) for side, w in walls.items()}
+                    rss_medians = {side: statistics.median(r) for side, r in rss.items()}
                     for side, median in medians.items():
                         totals[side] += median
+                        largest_rss[side] = max(largest_rss[side], rss_medians[side])
                     print(
                         f"TIME here {1000 * medians['here']:.1f} ms, "
-                        f"parent {1000 * medians['parent']:.1f} ms: {shlex.join(args)}"
+                        f"parent {1000 * medians['parent']:.1f} ms; "
+                        f"RSS here {rss_medians['here']:.1f} MB, "
+                        f"parent {rss_medians['parent']:.1f} MB: {shlex.join(args)}"
                     )
     print(f"{compared} commands compared, {differing} differ")
     if opts.repeat:
         print(
             f"median wall time summed over {compared} commands ({opts.repeat} runs per side): "
-            f"here {totals['here']:.3f} s, parent {totals['parent']:.3f} s"
+            f"here {totals['here']:.3f} s, parent {totals['parent']:.3f} s; "
+            f"largest median peak RSS here {largest_rss['here']:.1f} MB, "
+            f"parent {largest_rss['parent']:.1f} MB"
         )
     return 1 if differing else 0
 
