@@ -22,6 +22,7 @@ singletons); certificates use the column norm by definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import AlgebraInstance, Certificate, NormValue
 from .errors import ConfigError
-from .instances import COMPLEX
+from .instances import COMPLEX, MAX_ELEMENT_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -142,43 +143,45 @@ class CornerIdempotent:
 class CollapseCertificate:
     """Witness that the two-sided span of the corner is everything at size n.
 
-    ``pairs`` are operators ``(a_k, b_k)`` with ``sum_k a_k * e * b_k``
-    equal to the identity on the first ``n`` coordinates, exactly.  It
-    follows that the quotient of the truncated operator ring by the
-    two-sided span of the corner is the zero ring, so its idempotent
-    classes are trivial: the delooped class is invisible at every finite
-    truncation, and only the full column-finite ring sees it.
+    ``pairs``, rebuilt from ``n`` and ``inner``, are operators ``(a_k, b_k)``
+    with ``sum_k a_k * e * b_k`` equal to the identity on the first ``n``
+    coordinates, exactly.  So the quotient of the truncated operator ring by
+    the two-sided span of the corner is the zero ring, its idempotent classes
+    are trivial, and only the full column-finite ring sees the delooped class.
     """
 
     n: int
-    pairs: tuple
+    inner: AlgebraInstance
     cert: Certificate
 
     @property
     def valid(self) -> bool:
         return self.cert.valid
 
+    @property
+    def pairs(self) -> tuple:
+        return tuple(_collapse_pairs(self.n, self.inner))
+
+
+def _collapse_pairs(n: int, inner: AlgebraInstance):
+    for k in range(n):
+        yield EndOperator.matrix_unit(inner, k, 0), EndOperator.matrix_unit(inner, 0, k)
+
 
 def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None) -> CollapseCertificate:
-    """Pairs ``(E_{k0}, E_{0k})`` with ``sum_k E_{k0} e E_{0k} = 1_n`` exactly.
-
-    ``n`` is at most ``2**16``, the swindle check's largest support: each
-    index holds a few operators, about 2 KB.
-    """
+    """Check ``sum_k E_{k0} e E_{0k} = 1_n`` exactly, for ``n`` up to the swindle's ``2**16``;
+    ``n`` inner elements may hold at most ``MAX_ELEMENT_ENTRIES`` entries in all."""
     if not 1 <= n <= 2**16:
         raise ConfigError("truncation size must be between 1 and 2**16")
     inner = COMPLEX if inner is None else inner
+    if n * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
+        raise ConfigError(f"truncation size {n} would hold over {MAX_ELEMENT_ENTRIES} inner entries")
     e = CornerIdempotent(0).as_operator(inner)
-    pairs = tuple(
-        (EndOperator.matrix_unit(inner, k, 0), EndOperator.matrix_unit(inner, 0, k))
-        for k in range(n)
-    )
-    total = EndOperator.zero(inner).add(*(a_k.compose(e).compose(b_k) for a_k, b_k in pairs))
-    identity = EndOperator.identity(inner, n)
+    terms = (a_k.compose(e).compose(b_k) for a_k, b_k in _collapse_pairs(n, inner))
     cert = Certificate(slack=0.0)
-    cert.add("collapse-identity", end_norm(total.add(identity.neg())), 0)
+    cert.add("collapse-identity", end_norm(EndOperator.identity(inner, n).neg().add(*terms)), 0)
     cert.add("corner-norm", end_norm(e), inner.norm(inner.one()))
-    return CollapseCertificate(n=n, pairs=pairs, cert=cert)
+    return CollapseCertificate(n=n, inner=inner, cert=cert)
 
 
 # ---------------------------------------------------------------------------

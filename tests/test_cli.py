@@ -297,15 +297,19 @@ def test_report_certificates_stay_objects_until_rendered():
 
 
 @pytest.mark.parametrize(
-    "command, n",
+    "command, n, extra",
     [
-        pytest.param("collapse", "1000000000", id="collapse"),
-        pytest.param("path-trivialize", "1000000000", id="path-trivialize"),
-        pytest.param("path-trivialize", "1025", id="path-trivialize-1025"),
+        pytest.param("collapse", "1000000000", [], id="collapse"),
+        pytest.param("path-trivialize", "1000000000", [], id="path-trivialize"),
+        pytest.param("path-trivialize", "1025", [], id="path-trivialize-1025"),
+        # 2**16 inner elements of 64 x 64 entries each
+        pytest.param(
+            "collapse", "65536", ["--instance", '{"kind":"matrix","n":64}'], id="collapse-matrix-64"
+        ),
     ],
 )
-def test_huge_n_exits_one_before_allocating(command, n, capsys):
-    assert main([command, "--n", n]) == 1
+def test_huge_n_exits_one_before_allocating(command, n, extra, capsys):
+    assert main([command, "--n", n, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1

@@ -1,5 +1,6 @@
 """Column-sparse operators, the corner, collapse and swindle checks."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from idemkit.deloop import (
     swindle_conjugator,
 )
 from idemkit.errors import ConfigError
-from idemkit.instances import COMPLEX, MatrixAlgebra
+from idemkit.instances import COMPLEX, ComplexScalars, MatrixAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,24 @@ def test_collapse_size_three_explicit_pairs():
         total = total.add(a_k.compose(e).compose(b_k))
     assert total.columns == EndOperator.identity(COMPLEX, 3).columns
 
+    inner = MatrixAlgebra(COMPLEX, 2)
+    cc = finite_collapse_certificate(3, inner)
+    assert cc.valid
+    one = inner.one()
+    for k, (a_k, b_k) in enumerate(cc.pairs):
+        [(a_col, ((a_row, a_val),))] = a_k.columns.items()
+        [(b_col, ((b_row, b_val),))] = b_k.columns.items()
+        assert (a_col, a_row, b_col, b_row) == (0, k, k, 0)
+        assert np.array_equal(a_val, one) and np.array_equal(b_val, one)
+    total = EndOperator.zero(inner)
+    e = CornerIdempotent(0).as_operator(inner)
+    for a_k, b_k in cc.pairs:
+        total = total.add(a_k.compose(e).compose(b_k))
+    assert sorted(total.columns) == [0, 1, 2]
+    for j, entries in total.columns.items():
+        [(row, value)] = entries
+        assert row == j and np.array_equal(value, one)
+
 
 def test_collapse_exact_up_to_sixty_four():
     for n in (2, 16, 64):
@@ -120,6 +139,59 @@ def test_collapse_over_matrix_inner_instance():
 def test_collapse_rejects_bad_size():
     with pytest.raises(ConfigError):
         finite_collapse_certificate(0)
+
+
+def test_collapse_holds_no_operators_and_peaks_small():
+    # holding the 2n witness operators and merging twice peaked at 26.7 MB
+    tracemalloc.start()
+    try:
+        cc = finite_collapse_certificate(2**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cc.valid
+    assert peak < 18 * 2**20
+    assert [f.name for f in dataclasses.fields(cc)] == ["n", "inner", "cert"]
+    assert not any(isinstance(v, EndOperator) for v in vars(cc).values())
+
+
+class _CountingComplex(ComplexScalars):
+    muls = 0
+
+    def mul(self, x, y):
+        self.muls += 1
+        return super().mul(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1024])
+def test_collapse_makes_two_products_per_index(n, monkeypatch):
+    composes = 0
+    compose = EndOperator.compose
+
+    def counted(self, other):
+        nonlocal composes
+        composes += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(EndOperator, "compose", counted)
+    inner = _CountingComplex()
+    assert finite_collapse_certificate(n, inner).valid
+    assert composes == 2 * n
+    assert inner.muls == 2 * n
+
+
+class _WideComplex(ComplexScalars):
+    # complex arithmetic under a declared element shape of 4096 entries
+    shape = (4096,)
+
+
+def test_collapse_caps_the_inner_entries_it_holds():
+    with pytest.raises(ConfigError, match="inner entries"):
+        finite_collapse_certificate(2**16, MatrixAlgebra(COMPLEX, 64))
+    cap = deloop.MAX_ELEMENT_ENTRIES // 4096
+    assert finite_collapse_certificate(cap, _WideComplex()).valid
+    with pytest.raises(ConfigError, match="inner entries"):
+        finite_collapse_certificate(cap + 1, _WideComplex())
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ DEFAULT_EXTRAS = [
     # the parser's own defaults, which no README command leaves unset
     ["collapse"],
     ["lift"],
+    # the largest collapse, and one over a non-scalar inner instance
+    ["collapse", "--n", "65536"],
+    ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
 ]
 
 _RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
