@@ -27,6 +27,7 @@ from .core import GROUP_AXIOM_PREFIXES, Certificate, check_norm_axioms, tensor_n
 from .errors import ConfigError, IdemkitError
 from .instances import (
     COMPLEX,
+    MAX_ELEMENT_ENTRIES,
     TOWER_KINDS,
     ComplexScalars,
     MatrixAlgebra,
@@ -279,6 +280,10 @@ def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
             f"norm-audit --samples must be between 0 and {MAX_AUDIT_SAMPLES}, got {config.samples}"
         )
     inst = parse_instance({"kind": "complex"} if config.instance is None else config.instance)
+    if (config.samples + 2) * math.prod(inst.shape) > MAX_ELEMENT_ENTRIES:
+        raise ConfigError(
+            f"norm-audit --samples {config.samples} would hold over {MAX_ELEMENT_ENTRIES} entries"
+        )
     rng = np.random.default_rng(config.seed)
     samples = [inst.one(), inst.zero()] + [
         inst.random_element(rng) for _ in range(config.samples)
@@ -441,7 +446,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = config_from_args(_build_parser().parse_args(argv))
         return run(config)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"idemkit: config error: {exc}", file=sys.stderr)
         return 1
     except IdemkitError as exc:

@@ -149,30 +149,27 @@ def transfer_surjective(
     scan's ``a*a``, and the unit ``1 - e - a + 2*e*a`` reads the ``e*a``
     that ``commute`` was measured on.  For an exact level idempotent the
     whole round trip is then that one product, since the unit is within
-    ``tol`` of 1 and its inverse is 1.
+    ``tol`` of 1 and its inverse is 1.  Norms are read the same way: the
+    ``surjective-transfer`` lhs is the lift's ``distance-derived`` lhs plus
+    the tail.
     """
     if eps is None:
         eps = default_eps(colim_norm_bound(tower, e))
     tail = e.tail_bound
-    chosen = None
     for j in range(e.level, tower.depth + 1):
         a_j = tower.push(e.representative, e.level, j)
         inst = tower.levels[j]
         a_sq = inst.mul(a_j, a_j)
-        defect = float(inst.distance(a_sq, a_j))
-        if defect + 2 * tail < eps:
-            chosen = (j, a_j, a_sq)
+        if float(inst.distance(a_sq, a_j)) + 2 * tail < eps:
             break
-    if chosen is None:
+    else:
         raise TowerTooShallowError(
             f"tower too shallow: no level has defect + 2*tail below eps = {eps}"
         )
-    j, a_j, a_sq = chosen
-    inst = tower.levels[j]
     lifted, ea = _lift(inst, a_j, a_sq, "corrected", tol)
     e_j = lifted.e
 
-    dist = float(inst.distance(e_j, a_j)) + tail
+    dist = float(lifted.cert.entry("distance-derived").lhs) + tail
     b_e = float(inst.norm(e_j))
     norm_e = colim_norm_bound(tower, e)
     cert = inst.certificate()
@@ -257,9 +254,8 @@ def transfer_injective(
     u_inv_rep = inst_u.try_inverse(u.representative)
     b_e = float(tower.levels[level].norm(e_i.e))
     nu = colim_norm_bound(tower, u)
-    nu_inv = float(inst_u.norm(u_inv_rep)) + _inverse_tail(
-        float(inst_u.norm(u_inv_rep)), u.tail_bound
-    )
+    nu_inv_rep = float(inst_u.norm(u_inv_rep))
+    nu_inv = nu_inv_rep + _inverse_tail(nu_inv_rep, u.tail_bound)
     if eps is None:
         eps = max(default_eps(b_e), 2 * u.tail_bound)
     if u.tail_bound >= eps:

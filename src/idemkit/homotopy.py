@@ -160,8 +160,8 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
 # canned paths and the rank-constancy experiment
 
 
-def rotation_path(instance: MatrixAlgebra, quarter_turns: float = 1.0) -> IdempotentPath:
-    """Rank-1 projector conjugated by a rotation in the first two axes."""
+def rotation_path(instance: MatrixAlgebra) -> IdempotentPath:
+    """Rank-1 projector conjugated by a quarter turn in the first two axes."""
     n = instance.n
     if n < 2:
         raise PathError("rotation path needs size at least 2")
@@ -169,15 +169,14 @@ def rotation_path(instance: MatrixAlgebra, quarter_turns: float = 1.0) -> Idempo
     p[0, 0] = 1.0
 
     def sample(t: float):
-        angle = quarter_turns * math.pi * t / 2
+        angle = math.pi * t / 2
         r = np.eye(n, dtype=complex)
         r[0, 0] = r[1, 1] = math.cos(angle)
         r[0, 1] = -math.sin(angle)
         r[1, 0] = math.sin(angle)
         return r @ p @ r.T
 
-    hint = 2.0 * abs(quarter_turns) * math.pi
-    return IdempotentPath(instance, sample, lipschitz_hint=hint)
+    return IdempotentPath(instance, sample, lipschitz_hint=2.0 * math.pi)
 
 
 #: Padé degrees with the largest column-l1 norm ``theta_m`` of ``a`` for

@@ -326,6 +326,12 @@ def test_huge_n_exits_one_before_allocating(command, n, extra, capsys):
         pytest.param(["transfer", "--eps", "0"], "eps", id="eps-0"),
         pytest.param(["norm-audit", "--samples", "65"], "--samples", id="samples-65"),
         pytest.param(["norm-audit", "--samples", "-1"], "--samples", id="samples-negative"),
+        # 12 elements of 4096 x 4096 entries each
+        pytest.param(
+            ["norm-audit", "--instance", '{"kind":"matrix","n":4096}'],
+            "--samples",
+            id="samples-matrix-4096",
+        ),
     ],
 )
 def test_vacuous_or_oversized_knobs_exit_one_with_one_line(args, setting, capsys):

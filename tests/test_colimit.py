@@ -275,6 +275,9 @@ def test_surjective_transfer_entries_equal_the_explicit_products(tower, seed):
         for name, value in entries.items():
             cert = result.cert if name.startswith("lift:") else result.unit.cert
             assert cert.entry(name).lhs == value, (idx, name)
+        # the colimit distance is the lift's measured distance plus the tail
+        lift_distance = result.cert.entry("lift:distance-derived").lhs
+        assert result.cert.entry("surjective-transfer").lhs == lift_distance + tail, idx
 
 
 def test_surjective_transfer_of_an_exact_projector_forms_one_product():
@@ -308,3 +311,25 @@ def test_surjective_transfer_forms_only_its_lift_and_its_inversion():
         inversion = _products(inst, lambda: neumann_inverse(inst, unit, 1e-12))
         assert lift >= 5  # a*a, at least one Newton step, both commute products
         assert products == lift + inversion
+
+
+def _tower_norm_calls(tower, run):
+    for inst in tower.levels:
+        inst.norm_calls = 0
+    run()
+    return sum(inst.norm_calls for inst in tower.levels)
+
+
+def test_transfers_measure_each_norm_they_hold_once():
+    tower = _counting_uhf_tower(3)
+    inst = tower.levels[2]
+    p = conjugated_projector(inst, 2, np.random.default_rng(113), spread=0.4)
+    # the scan's defect, the lift's four, norm(e), the input's colimit
+    # norm, norm(1 - e), the inversion's one and norm(u_inv); the transfer
+    # distance is the lift's, not measured again
+    e = LimitElement(2, p, 0.0)
+    assert _tower_norm_calls(tower, lambda: transfer_surjective(tower, e, eps=0.01)) == 10
+    # norm(u_inv) is measured once, for both the bound and the inverse tail
+    c = _cert(inst, p)
+    u = LimitElement(2, inst.one(), 0.0)
+    assert _tower_norm_calls(tower, lambda: transfer_injective(tower, 2, c, c, u, eps=0.01)) == 18

@@ -10,6 +10,7 @@ from idemkit.core import (
     Certificate,
     CertEntry,
     GROUP_AXIOM_PREFIXES,
+    MAX_SUPPORT_BOUND,
     ScaledIntegers,
     _min_term_cost,
     check_norm_axioms,
@@ -18,6 +19,8 @@ from idemkit.core import (
 )
 from idemkit.errors import ConfigError
 from idemkit.instances import COMPLEX, MatrixAlgebra, SampledFunctionAlgebra, SequenceAlgebra
+
+from test_calculus import _CountingMatrices
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,17 @@ def test_matrix_axioms_on_random_pairs():
     assert cert.valid  # 64 ordered pairs; slack 1e-9 absorbs roundoff
 
 
+@pytest.mark.parametrize("s", [1, 4, 10])
+def test_norm_audit_measures_each_sample_norm_once(s):
+    inst = _CountingMatrices(3)
+    rng = np.random.default_rng(s)
+    samples = [inst.random_element(rng) for _ in range(s)]
+    inst.norm_calls = 0
+    check_norm_axioms(inst, samples)
+    # zero and unit, each sample and its negation, each pair's sum and product
+    assert inst.norm_calls == 2 + 2 * s + 2 * s * s
+
+
 # ---------------------------------------------------------------------------
 # l1 coproduct norm
 
@@ -158,6 +172,14 @@ def test_tensor_norm_monotone_nonincreasing_in_bound():
 def test_tensor_norm_rejects_zero_bound():
     with pytest.raises(ConfigError):
         tensor_norm_int(1, 1, 1, 0)
+
+
+def test_tensor_norm_rejects_a_bound_above_the_cap():
+    # the search table has 2*b**3 + 1 entries and takes time about like b**6
+    with pytest.raises(ConfigError, match="support_bound"):
+        tensor_norm_int(1, 1, 1, MAX_SUPPORT_BOUND + 1)
+    with pytest.raises(ConfigError, match="support_bound"):
+        tensor_norm_int(1, 1, 1, 1000)
 
 
 def _dict_min_term_cost(b):

@@ -53,6 +53,11 @@ DEFAULT_EXTRAS = [
     # the largest collapse, and one over a non-scalar inner instance
     ["collapse", "--n", "65536"],
     ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
+    # norm audits the README leaves out: complex scalars (norm ``abs``), a
+    # norm that reads more than magnitudes, and ``Fraction`` norms
+    ["norm-audit"],
+    ["norm-audit", "--instance", '{"kind":"matrix","n":3,"norm":"spectral"}', "--samples", "16"],
+    ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
 ]
 
 _RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
