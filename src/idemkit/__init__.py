@@ -36,9 +36,6 @@ from .colimit import (
     default_eps,
     k0_colimit_compare,
     level_class_key,
-    limit_add,
-    limit_distance_bound,
-    limit_mul,
     transfer_injective,
     transfer_surjective,
 )
@@ -49,7 +46,6 @@ from .core import (
     NormValue,
     ScaledIntegers,
     check_norm_axioms,
-    l1_coproduct_norm,
     tensor_norm_int,
 )
 from .deloop import (

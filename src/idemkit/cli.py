@@ -6,6 +6,12 @@ result), 1 on malformed input, a parser error included, or a precondition
 failure.  Each command accepts only the flags it reads.  Identical
 (config, seed) pairs produce byte-identical reports; per-trial randomness
 is derived deterministically from the master seed and the trial index.
+
+:func:`main` builds the subparser of the named command only; top-level
+help, a missing command and an unknown one build all eight, so every help
+text and error line reads as with the full parser.  No parser is kept
+between calls: a CLI process builds one on every run, so a cached parser
+would only make in-process calls look cheaper than the command is.
 """
 
 from __future__ import annotations
@@ -374,8 +380,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-#: every command-specific flag and how it parses
+#: every flag and how it parses
 _FLAGS = {
+    "--seed": {"type": int},
+    "--out": {"help": "report file (stdout when omitted)"},
+    "--format": {"choices": ("json", "csv")},
     "--instance": {"help": "instance descriptor (inline JSON or file); k0 takes a tower too"},
     "--tower": {"help": "tower descriptor (inline JSON or file)"},
     "--tol": {"type": float, "dest": "tolerance"},
@@ -390,7 +399,10 @@ _FLAGS = {
     "--samples": {"type": int},
 }
 
-#: each command's help and the flags it reads besides --seed, --out and --format
+#: the flags every command reads
+_COMMON_FLAGS = ("--seed", "--out", "--format")
+
+#: each command's help and the flags it reads besides the common ones
 _COMMANDS = {
     "lift": ("polish an almost-idempotent", ("--instance", "--tol", "--defect", "--variant")),
     "k0": ("K0 presentation of an instance or a tower", ("--instance",)),
@@ -406,27 +418,25 @@ _COMMANDS = {
 }
 
 
-#: the config fields each command reads: its flags' and the common ones
+#: the config fields each command reads: the common flags' and its own
 _READ_FIELDS = {
-    command: {"command", "seed", "out", "format"}
-    | {_FLAGS[flag].get("dest", flag[2:]) for flag in flags}
+    command: {"command"}
+    | {_FLAGS[flag].get("dest", flag[2:]) for flag in (*_COMMON_FLAGS, *flags)}
     for command, (_, flags) in _COMMANDS.items()
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of ``commands``."""
     parser = _Parser(
         prog="idemkit",
         description="certified idempotent calculus experiments with JSON/CSV reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="report file (stdout when omitted)")
-    common.add_argument("--format", choices=("json", "csv"))
-    for command, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
-        for flag in flags:
+    for command in commands:
+        help_text, flags = _COMMANDS[command]
+        p = sub.add_parser(command, help=help_text)
+        for flag in (*_COMMON_FLAGS, *flags):
             p.add_argument(flag, **_FLAGS[flag])
         if command == "collapse":
             p.set_defaults(n=16)  # path-trivialize keeps the config's n = 2
@@ -443,8 +453,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's flags, help and errors need only its own subparser
+    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        config = config_from_args(_build_parser().parse_args(argv))
+        config = config_from_args(_build_parser(commands).parse_args(argv))
         return run(config)
     except ConfigError as exc:
         print(f"idemkit: config error: {exc}", file=sys.stderr)

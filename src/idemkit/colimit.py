@@ -50,7 +50,7 @@ class LimitElement:
 
     ``tail_bound`` bounds the colimit distance between the representative's
     image and the intended limit element; it is the caller's certified
-    promise and is carried through arithmetic by subadditivity.
+    promise, and the transfers add it to the bounds they certify.
     """
 
     level: int
@@ -61,29 +61,6 @@ class LimitElement:
 def colim_norm_bound(tower: Tower, x: LimitElement) -> float:
     """Certified upper bound for the norm of ``x`` in the colimit."""
     return float(tower.levels[x.level].norm(x.representative)) + x.tail_bound
-
-
-def _align(tower: Tower, x: LimitElement, y: LimitElement):
-    j = max(x.level, y.level)
-    return j, tower.push(x.representative, x.level, j), tower.push(y.representative, y.level, j)
-
-
-def limit_add(tower: Tower, x: LimitElement, y: LimitElement) -> LimitElement:
-    j, xv, yv = _align(tower, x, y)
-    return LimitElement(j, tower.levels[j].add(xv, yv), x.tail_bound + y.tail_bound)
-
-
-def limit_mul(tower: Tower, x: LimitElement, y: LimitElement) -> LimitElement:
-    j, xv, yv = _align(tower, x, y)
-    inst = tower.levels[j]
-    tail = x.tail_bound * colim_norm_bound(tower, y) + float(inst.norm(xv)) * y.tail_bound
-    return LimitElement(j, inst.mul(xv, yv), tail)
-
-
-def limit_distance_bound(tower: Tower, x: LimitElement, y: LimitElement) -> float:
-    """Certified upper bound for the colimit distance between two elements."""
-    j, xv, yv = _align(tower, x, y)
-    return float(tower.levels[j].distance(xv, yv)) + x.tail_bound + y.tail_bound
 
 
 def default_eps(e_norm_bound: float) -> float:

@@ -49,6 +49,9 @@ def as_fraction(x) -> Fraction:
 
 
 def _norm_to_json(v: NormValue):
+    # exact types first: the Fraction check goes through ABCMeta
+    if type(v) is float or type(v) is int:
+        return v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return v.numerator
@@ -330,18 +333,7 @@ GROUP_AXIOM_PREFIXES = ("zero-norm", "symmetry", "triangle")
 
 
 # ---------------------------------------------------------------------------
-# coproduct and tensor norms on exactly checkable inputs
-
-
-def l1_coproduct_norm(components: Sequence[tuple[Any, AlgebraInstance]]) -> NormValue:
-    """Sum of the component norms: the coproduct norm of a finite tuple.
-
-    Additive under list concatenation; the empty list has norm 0.
-    """
-    total: NormValue = 0
-    for x, inst in components:
-        total = total + inst.norm(x)
-    return total
+# tensor norms on exactly checkable inputs
 
 
 #: the largest ``support_bound`` searched: the table holds ``2*b**3 + 1``

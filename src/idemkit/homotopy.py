@@ -109,21 +109,21 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     if not math.isfinite(L):
         raise PathError(f"the Lipschitz hint must be finite, got {L}")
     inst = path.instance
+    # each point's norm and each segment's gap, measured once
     points = [0.0, 1.0]
+    norms = [float(inst.norm(path.at(t))) for t in points]
+    gaps = [float(inst.distance(path.at(0.0), path.at(1.0)))]
+    fresh = [0]  # the segments whose gap no earlier depth checked against the hint
 
     for depth in range(max_depth + 1):
-        max_norm = max(float(inst.norm(path.at(t))) for t in points)
-        threshold = segment_threshold(max_norm)
-        gaps = [
-            float(inst.distance(path.at(s), path.at(t)))
-            for s, t in zip(points, points[1:])
-        ]
-        for (s, t), gap in zip(zip(points, points[1:]), gaps):
-            if gap > L * (t - s) + inst.slack:
+        for k in fresh:
+            s, t = points[k], points[k + 1]
+            if gaps[k] > L * (t - s) + inst.slack:
                 raise PathError(
                     f"path violates its Lipschitz hint on [{s}, {t}]: "
-                    f"gap {gap} > {L} * {t - s}"
+                    f"gap {gaps[k]} > {L} * {t - s}"
                 )
+        threshold = segment_threshold(max(norms))
         bad = [k for k, gap in enumerate(gaps) if gap > threshold]
         if not bad:
             break
@@ -132,8 +132,22 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
                 f"path too wild for hint: {len(bad)} segment(s) above threshold "
                 f"{threshold} at depth {max_depth}"
             )
-        for k in reversed(bad):
-            points.insert(k + 1, (points[k] + points[k + 1]) / 2)
+        # split left to right, so the first sample to fail is the one a
+        # pass over every point would meet first; each split moves the
+        # later segments one place right
+        fresh = []
+        for shift, k in enumerate(bad):
+            k += shift
+            s, t = points[k], points[k + 1]
+            m = (s + t) / 2
+            e = path.at(m)
+            points.insert(k + 1, m)
+            norms.insert(k + 1, float(inst.norm(e)))
+            gaps[k : k + 1] = [
+                float(inst.distance(path.at(s), e)),
+                float(inst.distance(e, path.at(t))),
+            ]
+            fresh += [k, k + 1]
 
     # the last pass's points, gaps and threshold are the accepted segmentation;
     # composition can amplify per-segment residuals by the product of unit

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idemkit
+from idemkit import cli
 from idemkit.cli import ExperimentConfig, _build_parser, build_report, config_from_args, main, run
 from idemkit.core import Certificate
 from idemkit.errors import ConfigError
@@ -599,20 +600,57 @@ _UNREAD = [
 
 
 def test_each_command_parses_exactly_the_flags_it_reads():
-    accepted = []
-    for command in _COMMAND_FLAGS:
-        for flag, value in _FLAG_VALUES.items():
-            try:
-                _build_parser().parse_args([command, flag, value])
-            except ConfigError:
-                continue
-            accepted.append((command, flag))
-    assert set(accepted) == {
+    expected = {
         (command, flag)
         for command, own in _COMMAND_FLAGS.items()
         for flag in own | _COMMON_FLAGS
     }
-    assert len(accepted) == 42
+    # the full parser and the one-command parser that main builds
+    for build in (lambda command: _build_parser(), lambda command: _build_parser([command])):
+        accepted = []
+        for command in _COMMAND_FLAGS:
+            for flag, value in _FLAG_VALUES.items():
+                try:
+                    build(command).parse_args([command, flag, value])
+                except ConfigError:
+                    continue
+                accepted.append((command, flag))
+        assert set(accepted) == expected
+        assert len(accepted) == 42
+
+
+@pytest.mark.parametrize(
+    "args, built",
+    [
+        pytest.param(["lift", "--defect", "0.3"], [["lift"]], id="lift"),
+        pytest.param(["lift", "--help"], [["lift"]], id="lift-help"),
+        pytest.param(["--help"], [list(_COMMAND_FLAGS)], id="help"),
+        pytest.param(["mystery"], [list(_COMMAND_FLAGS)], id="unknown-command"),
+        pytest.param([], [list(_COMMAND_FLAGS)], id="no-command"),
+    ],
+)
+def test_main_builds_only_the_named_commands_parser(args, built, monkeypatch, capsys):
+    calls = []
+
+    def spy(commands=cli._COMMANDS):
+        calls.append(list(commands))
+        return _build_parser(commands)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    try:
+        main(args)
+    except SystemExit:
+        pass
+    assert calls == built
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for command in _COMMAND_FLAGS:
+        help_text = cli._COMMANDS[command][0]
+        assert re.search(rf"^    {command} +{help_text}$", out, re.MULTILINE), command
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD, ids=" ".join)

@@ -1,4 +1,4 @@
-"""Tower transfers, tail-bound arithmetic and class-key round trips."""
+"""Tower transfers, colimit norm bounds and class-key round trips."""
 
 from fractions import Fraction
 
@@ -13,9 +13,6 @@ from idemkit.colimit import (
     default_eps,
     k0_colimit_compare,
     level_class_key,
-    limit_add,
-    limit_distance_bound,
-    limit_mul,
     transfer_injective,
     transfer_surjective,
 )
@@ -40,38 +37,15 @@ def _cert(inst, e, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# limit-element arithmetic
-
-
-def test_tail_bounds_add_under_addition():
-    x = LimitElement(1, UHF4.levels[1].one(), 0.25)
-    y = LimitElement(2, UHF4.levels[2].one(), 0.5)
-    z = limit_add(UHF4, x, y)
-    assert z.level == 2
-    assert z.tail_bound == 0.75
-
-
-def test_tail_bounds_subadditive_under_multiplication():
-    inst = UHF4.levels[1]
-    x = LimitElement(1, 2 * inst.one(), 0.1)
-    y = LimitElement(1, 3 * inst.one(), 0.2)
-    z = limit_mul(UHF4, x, y)
-    # tail <= tx * (|y| + ty) + |x| * ty
-    assert z.tail_bound == pytest.approx(0.1 * 3.2 + 2 * 0.2)
-    assert UHF4.levels[1].distance(z.representative, 6 * inst.one()) == 0
-
-
-def test_limit_distance_bound_includes_tails():
-    inst = UHF4.levels[1]
-    x = LimitElement(1, inst.one(), 0.1)
-    y = LimitElement(1, inst.zero(), 0.2)
-    assert limit_distance_bound(UHF4, x, y) == pytest.approx(1.3)
-    assert colim_norm_bound(UHF4, x) == pytest.approx(1.1)
+# colimit norm bounds
 
 
 def test_default_eps_keeps_conjugation_feasible():
     assert default_eps(1.0) <= 0.01
     assert default_eps(100.0) > 0
+    # the transfers take eps from the colimit norm bound, which adds the tail
+    x = LimitElement(1, UHF4.levels[1].one(), 0.1)
+    assert colim_norm_bound(UHF4, x) == pytest.approx(1.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Certificates, norm axioms, coproduct and tensor norms."""
+"""Certificates, norm axioms and tensor norms."""
 
 from fractions import Fraction
 
@@ -13,8 +13,8 @@ from idemkit.core import (
     MAX_SUPPORT_BOUND,
     ScaledIntegers,
     _min_term_cost,
+    _norm_to_json,
     check_norm_axioms,
-    l1_coproduct_norm,
     tensor_norm_int,
 )
 from idemkit.errors import ConfigError
@@ -76,6 +76,27 @@ def test_certificate_json_round_trip():
     assert back.entry("soft").advisory
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (True, True),
+        (0, 0),
+        (-0.0, -0.0),
+        (float("inf"), float("inf")),
+        (float("nan"), float("nan")),
+        (np.float64(0.1), 0.1),
+        (np.int64(3), 3.0),
+        (Fraction(4), 4),
+        (Fraction(-1, 3), "-1/3"),
+    ],
+    ids=repr,
+)
+def test_norm_to_json_keeps_each_value_and_type(value, expected):
+    # repr tells -0.0 from 0.0 and equates NaN with itself
+    got = _norm_to_json(value)
+    assert (type(got), repr(got)) == (type(expected), repr(expected))
+
+
 def test_cert_entry_from_json_parses_fraction_strings():
     e = CertEntry.from_json({"name": "x", "lhs": "1/3", "rhs": "1/2"})
     assert e.holds and e.lhs == Fraction(1, 3)
@@ -124,26 +145,6 @@ def test_norm_audit_measures_each_sample_norm_once(s):
     check_norm_axioms(inst, samples)
     # zero and unit, each sample and its negation, each pair's sum and product
     assert inst.norm_calls == 2 + 2 * s + 2 * s * s
-
-
-# ---------------------------------------------------------------------------
-# l1 coproduct norm
-
-
-def test_l1_coproduct_examples():
-    z1 = ScaledIntegers(1)
-    zh = ScaledIntegers(Fraction(1, 2))
-    assert l1_coproduct_norm([]) == 0
-    assert l1_coproduct_norm([(3, z1), (-2, z1)]) == 5
-    assert l1_coproduct_norm([(1, zh), (1, zh)]) == 1
-
-
-@given(st.lists(st.integers(-50, 50), max_size=8), st.lists(st.integers(-50, 50), max_size=8))
-def test_l1_coproduct_additive_under_concatenation(xs, ys):
-    z1 = ScaledIntegers(1)
-    a = [(x, z1) for x in xs]
-    b = [(y, z1) for y in ys]
-    assert l1_coproduct_norm(a + b) == l1_coproduct_norm(a) + l1_coproduct_norm(b)
 
 
 # ---------------------------------------------------------------------------

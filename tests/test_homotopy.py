@@ -263,3 +263,57 @@ def test_path_trivialize_rejects_a_non_finite_hint_before_sampling(hint):
     with pytest.raises(PathError, match="Lipschitz hint must be finite"):
         path_trivialize(path, tol=1e-8)
     assert calls == []
+
+
+def _refine_by_full_passes(path):
+    """The segmentation a pass over every point and gap at each depth
+    reaches: ``(points, gaps, threshold)``."""
+    inst, points = path.instance, [0.0, 1.0]
+    while True:
+        threshold = segment_threshold(max(float(inst.norm(path.at(t))) for t in points))
+        gaps = [float(inst.distance(path.at(s), path.at(t))) for s, t in zip(points, points[1:])]
+        bad = [k for k, gap in enumerate(gaps) if gap > threshold]
+        if not bad:
+            return points, gaps, threshold
+        for k in reversed(bad):
+            points.insert(k + 1, (points[k] + points[k + 1]) / 2)
+
+
+@pytest.mark.parametrize(
+    "n, make, norms",
+    [
+        pytest.param(2, rotation_path, 244, id="rotation2"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0), 67, id="random4-0"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0, spread=2), 442, id="random4-spread2"),
+    ],
+)
+def test_refinement_measures_each_point_and_gap_once(n, make, norms):
+    inst = _CountingMatrices(n)
+    unit = path_trivialize(make(inst), tol=1e-8)
+    assert inst.norm_calls == norms
+    points, gaps, threshold = _refine_by_full_passes(make(MatrixAlgebra(COMPLEX, n)))
+    cert = inst.certificate()
+    for k, gap in enumerate(gaps):
+        cert.add(f"segment-gap[{k}]", gap, threshold)
+    assert unit.cert.entry("segments").lhs == len(points) - 1
+    assert unit.cert.entries[-len(gaps):] == cert.entries
+
+
+_JUMP = np.diag([0j, 1.0 + 0j])  # 1.0 from the path's start, beyond the hint's 0.75 at 0.25
+_HALF = 0.5 * np.eye(2, dtype=complex)  # no idempotent
+
+
+@pytest.mark.parametrize(
+    "special, error",
+    [
+        pytest.param({0.25: _JUMP, 0.75: _HALF}, "t=0.75 fails the idempotent check", id="sample-first"),
+        pytest.param({0.25: _HALF, 0.75: _HALF}, "t=0.25 fails the idempotent check", id="leftmost-sample"),
+        pytest.param({0.25: _JUMP}, r"Lipschitz hint on \[0.0, 0.25\]", id="hint"),
+    ],
+)
+def test_refinement_raises_the_error_a_full_pass_meets_first(special, error):
+    # the rotation's midpoints 0.25 and 0.75 are both new at depth 2
+    rotation = rotation_path(M2).sampler
+    path = IdempotentPath(M2, lambda t: special.get(t, rotation(t)), lipschitz_hint=3.0)
+    with pytest.raises(PathError, match=error):
+        path_trivialize(path, tol=1e-8)

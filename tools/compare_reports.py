@@ -5,8 +5,9 @@ Usage (from the repository root)::
     python3 tools/compare_reports.py PARENT_DIR [--seeds 7 11] [--extra "ARGS"]... [--repeat N]
 
 For each seed, every command of ``bench/workloads.readme_commands(seed)``
-(loaded by file path from this checkout) and every extra argument list,
-with ``--seed`` appended, runs once in each checkout as a subprocess of
+(loaded by file path from this checkout), every extra argument list and
+every help or parser-error case of ``PARSER_CHECKS``, with ``--seed``
+appended, runs once in each checkout as a subprocess of
 ``idemkit.cli.main`` with that checkout's ``src`` first on ``PYTHONPATH``
 and one BLAS thread.  Each run writes its report with ``--out`` into a
 fresh directory.  Exit code, stdout, stderr and report bytes are compared;
@@ -58,6 +59,17 @@ DEFAULT_EXTRAS = [
     ["norm-audit"],
     ["norm-audit", "--instance", '{"kind":"matrix","n":3,"norm":"spectral"}', "--samples", "16"],
     ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
+]
+
+#: help and parser-error argument lists, compared at every seed like the
+#: extras; none of them parses to a config
+PARSER_CHECKS = [
+    ["--help"],
+    ["lift", "--help"],
+    ["tensor-audit", "-h"],
+    ["mystery"],
+    ["lift", "--variant", "foo"],
+    ["collapse", "--n", "x"],
 ]
 
 _RUN_CLI = "import sys; from idemkit.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -171,7 +183,7 @@ def main(argv=None) -> int:
     if not (parent / "src" / "idemkit").is_dir():
         print(f"compare_reports: no src/idemkit under {parent}", file=sys.stderr)
         return 1
-    extras = DEFAULT_EXTRAS + [shlex.split(text) for text in opts.extra]
+    extras = DEFAULT_EXTRAS + PARSER_CHECKS + [shlex.split(text) for text in opts.extra]
     fields = ("exit code", "stdout", "stderr", "report")
     compared = differing = 0
     sides = [("here", ROOT), ("parent", parent)]
