@@ -368,7 +368,6 @@ def _newton_lift(instance: AlgebraInstance, e, e_sq, defect, x: float, tol: floa
     ``tol``.  Returns ``(e, tail_bound, defect, steps)``; at 0 steps ``e``
     is the given object.
     """
-    three = instance.int_scale(3, instance.one())
     t = t_prior = float(defect)
     x_prior = x
     for steps in range(NEWTON_STEP_CAP + 1):
@@ -379,6 +378,8 @@ def _newton_lift(instance: AlgebraInstance, e, e_sq, defect, x: float, tol: floa
             return e, tail, defect, steps
         if steps == NEWTON_STEP_CAP:
             break
+        if not steps:
+            three = instance.int_scale(3, instance.one())
         e = instance.mul(e_sq, instance.sub(three, instance.int_scale(2, e)))
         e_sq = instance.mul(e, e)
         defect = instance.distance(e_sq, e)
@@ -407,8 +408,9 @@ def lift_idempotent(
       certified distance to the sum, computed from the measured defects,
       are both at most ``tol`` (see :func:`_newton_lift`); the last measured
       defect is the ``defect`` entry.  When no step is needed, ``e`` is
-      ``a`` and ``commute`` reads the ``a*a`` the defect was measured on
-      for both of its products.
+      ``a``: ``commute`` and both distance entries are then norms of the
+      exact zero ``a - a``, recorded as that zero in the type of the
+      instance's norm and not measured.
       Promises ``norm(e*e - e) <= tol``, commutation with ``a``, and
       ``norm(e - a) <= norm(2a - 1) * ((1 - 4t)**-0.5 - 1) / 2``.
     * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``,
@@ -427,14 +429,19 @@ def lift_idempotent(
     return _lift(instance, a, instance.mul(a, a), variant, tol)[0]
 
 
-def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float):
+def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float, defect=None):
     """:func:`lift_idempotent` of ``a`` given ``a_sq = a*a``.
 
-    Returns ``(lifted, ea)``, where ``ea`` is the product ``e*a`` that the
-    ``commute`` entry was measured on.
+    A caller that has already measured ``defect = norm(a_sq - a)`` passes
+    it, and the defect ``s = a_sq - a`` is then formed only for the
+    ``printed`` series, which reads it.  Returns ``(lifted, ea)``, where
+    ``ea`` is the product ``e*a`` that the ``commute`` entry was measured
+    on (``a_sq`` when ``e`` is ``a``).
     """
-    s = instance.sub(a_sq, a)
-    defect = instance.norm(s)
+    if defect is None or variant == "printed":
+        s = instance.sub(a_sq, a)
+    if defect is None:
+        defect = instance.norm(s)
     t = float(defect)
     if not t < 0.25:
         raise PreconditionError(f"defect norm(a*a - a) = {t} is not below 1/4")
@@ -447,17 +454,18 @@ def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float):
         steps = None
     else:
         e, tail, defect, steps = _newton_lift(instance, a, a_sq, defect, x, tol)
-    if steps == 0:  # e is a
-        ea = ae = a_sq
+    if steps == 0:  # e is a, so e*a = a*e = a*a and e - a is exactly 0
+        ea = a_sq
+        commute = dist = type(defect)(0)
     else:
-        ea, ae = instance.mul(e, a), instance.mul(a, e)
-
-    dist = instance.distance(e, a)
+        ea = instance.mul(e, a)
+        commute = instance.distance(ea, instance.mul(a, e))
+        dist = instance.distance(e, a)
     derived = x * _inverse_sqrt_excess(t) / 2
     cert = instance.certificate()
     cert.add("tail-bound", tail, tol)
     cert.add("defect", defect, tol)
-    cert.add("commute", instance.distance(ea, ae), tol)
+    cert.add("commute", commute, tol)
     cert.add("distance-h", dist, h_bound(t), advisory=(variant == "corrected"))
     cert.add("distance-derived", dist, derived, advisory=(variant == "printed"))
     return CertifiedIdempotent(e, cert), ea

@@ -121,34 +121,44 @@ def transfer_surjective(
     representative at its level, and the colimit statements are
     conditional on ``e.tail_bound``.
 
-    Products already formed are read, not formed again: the lift's defect
-    and, when no Newton step is needed, its ``commute`` entry read the
-    scan's ``a*a``, and the unit ``1 - e - a + 2*e*a`` reads the ``e*a``
-    that ``commute`` was measured on.  For an exact level idempotent the
-    whole round trip is then that one product, since the unit is within
-    ``tol`` of 1 and its inverse is 1.  Norms are read the same way: the
-    ``surjective-transfer`` lhs is the lift's ``distance-derived`` lhs plus
-    the tail.
+    Products already formed are read, not formed again: the lift reads
+    the scan's ``a*a`` and the defect measured on it, and the unit
+    ``1 - e - a + 2*e*a`` reads the ``e*a`` that the lift's ``commute``
+    entry was measured on (``a*a`` itself when no Newton step is needed).
+    For an exact level idempotent the whole round trip is then that one
+    product, since the unit is within ``tol`` of 1 and its inverse is 1.
+    Norms are read the same way, and a norm that only a zero tail
+    multiplies is not measured: the ``surjective-transfer`` lhs is the
+    lift's ``distance-derived`` lhs plus the tail, the input's colimit
+    norm is ``norm(e_j)`` plus the tail when ``e_j`` is the input
+    representative, and ``norm(1 - e_j)`` and ``norm(u_inv)`` are measured
+    only for a nonzero tail.  An exact level idempotent at its own level so
+    takes four norms: the scan's defect, ``norm(2a - 1)``, ``norm(e_j)``
+    and the inversion's ``norm(1 - u)``.
     """
+    norm_e = None
     if eps is None:
-        eps = default_eps(colim_norm_bound(tower, e))
+        norm_e = colim_norm_bound(tower, e)
+        eps = default_eps(norm_e)
     tail = e.tail_bound
     for j in range(e.level, tower.depth + 1):
         a_j = tower.push(e.representative, e.level, j)
         inst = tower.levels[j]
         a_sq = inst.mul(a_j, a_j)
-        if float(inst.distance(a_sq, a_j)) + 2 * tail < eps:
+        defect = inst.distance(a_sq, a_j)
+        if float(defect) + 2 * tail < eps:
             break
     else:
         raise TowerTooShallowError(
             f"tower too shallow: no level has defect + 2*tail below eps = {eps}"
         )
-    lifted, ea = _lift(inst, a_j, a_sq, "corrected", tol)
+    lifted, ea = _lift(inst, a_j, a_sq, "corrected", tol, defect)
     e_j = lifted.e
 
     dist = float(lifted.cert.entry("distance-derived").lhs) + tail
     b_e = float(inst.norm(e_j))
-    norm_e = colim_norm_bound(tower, e)
+    if norm_e is None:
+        norm_e = b_e + tail if e_j is e.representative else colim_norm_bound(tower, e)
     cert = inst.certificate()
     cert.add("surjective-transfer", dist, h_bound(eps) + eps)
     cert.extend(lifted.cert, prefix="lift:")
@@ -165,7 +175,8 @@ def transfer_surjective(
             f"transfer distance {dist} fails the conjugation threshold (bound {bound})"
         )
     u_rep = intertwiner(inst, e_j, a_j, ea)
-    tail_u = tail * (b_e + float(inst.norm(inst.sub(inst.one(), e_j))))
+    # a zero tail needs neither norm(1 - e_j) nor, below, norm(u_inv)
+    tail_u = tail * (b_e + float(inst.norm(inst.sub(inst.one(), e_j)))) if tail else 0.0
     unit_cert = inst.certificate()
     unit_cert.add("conjugation-threshold", bound, 1)
     # the intertwining identity is algebraic: with e idempotent in the
@@ -177,8 +188,7 @@ def transfer_surjective(
     )
     inverted = neumann_inverse(inst, u_rep, tol)
     unit_cert.extend(inverted.cert)
-    nv = float(inst.norm(inverted.u_inv))
-    tail_v = _inverse_tail(nv, tail_u)
+    tail_v = _inverse_tail(float(inst.norm(inverted.u_inv)), tail_u) if tail_u else 0.0
     unit = CertifiedUnit(
         LimitElement(j, u_rep, tail_u),
         LimitElement(j, inverted.u_inv, tail_v),

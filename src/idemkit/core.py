@@ -125,7 +125,14 @@ class Certificate:
         return entry
 
     def extend(self, other: "Certificate", prefix: str = "") -> None:
-        """Absorb another certificate's entries, optionally name-prefixed."""
+        """Absorb another certificate's entries, optionally name-prefixed.
+
+        Entries are frozen, so with no prefix the entries themselves are
+        appended, not copies; a prefix makes renamed copies.
+        """
+        if not prefix:
+            self.entries.extend(other.entries)
+            return
         for e in other.entries:
             self.entries.append(CertEntry(prefix + e.name, e.lhs, e.rhs, e.advisory))
 

@@ -49,9 +49,9 @@ class IdempotentPath:
 
     Every sample is certified once, on first use: its defect certificate
     against ``sample_tol`` is formed from the one product ``e*e`` and kept,
-    and a defect above ``sample_tol`` aborts with a diagnostic.  The hint
-    is validated on every sampled pair, and a violation aborts too, rather
-    than returning an uncertified unit.
+    and a defect that is not at most ``sample_tol`` (NaN included) aborts
+    with a diagnostic.  The hint is validated on every sampled pair, and a
+    violation aborts too, rather than returning an uncertified unit.
     """
 
     instance: AlgebraInstance
@@ -68,7 +68,7 @@ class IdempotentPath:
         if t not in self._certified:
             sample = certify_idempotent(self.instance, self.sampler(t), self.sample_tol)
             defect = float(sample.defect)
-            if defect > self.sample_tol:
+            if not defect <= self.sample_tol:  # NaN fails too
                 raise PathError(
                     f"path sample at t={t} fails the idempotent check: defect {defect}"
                 )

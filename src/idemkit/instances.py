@@ -90,7 +90,8 @@ class Container(AlgebraInstance):
         return self.inner.mul(x, y) if self.inner.shape else x * y
 
     def zero(self):
-        return np.full(self.shape, self.inner.zero(), dtype=self.dtype)
+        # 0 of complex128, and the int 0 of object arrays
+        return np.zeros(self.shape, self.dtype)
 
     def random_element(self, rng):
         if isinstance(self.inner, ComplexScalars):
@@ -140,7 +141,8 @@ class MatrixAlgebra(Container):
     def norms(self, x):
         if self.norm_kind == "spectral":
             return np.linalg.norm(x, 2, axis=(-2, -1))
-        return self.inner.norms(x).sum(axis=-2).max(axis=-1)
+        # the ufunc reductions that ndarray.sum and ndarray.max dispatch to
+        return np.maximum.reduce(np.add.reduce(self.inner.norms(x), axis=-2), axis=-1)
 
     def unit_matrix(self, i: int, j: int, value=None):
         """Matrix with a single nonzero entry (the inner unit by default)."""
@@ -192,7 +194,7 @@ class SampledFunctionAlgebra(Container):
         return np.full(self.shape, self.inner.one(), dtype=self.dtype)
 
     def norms(self, x):
-        return self.inner.norms(x).max(axis=-1)
+        return np.maximum.reduce(self.inner.norms(x), axis=-1)
 
     def indicator(self, points):
         """Indicator function of a subset of grid points (an idempotent)."""
@@ -252,7 +254,7 @@ class SequenceAlgebra(Container):
         axis = -1 - len(self.inner.shape)
         xs, ys = (np.moveaxis(v, axis, 0) for v in np.broadcast_arrays(x, y))
         t = self.truncation
-        out = np.full(xs.shape, self.inner.zero(), dtype=self.dtype)
+        out = np.zeros(xs.shape, self.dtype)
         for i in range(t):
             out[i:] = self.inner.add(out[i:], self._entry_mul(xs[i : i + 1], ys[: t - i]))
         return np.moveaxis(out, 0, axis)
@@ -263,7 +265,7 @@ class SequenceAlgebra(Container):
         return out
 
     def norms(self, x):
-        return self.inner.norms(x).sum(axis=-1)
+        return np.add.reduce(self.inner.norms(x), axis=-1)
 
     def serialize_element(self, x):
         return [self.inner.serialize_element(v) for v in x]

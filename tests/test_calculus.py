@@ -799,6 +799,35 @@ def test_lift_of_an_exact_projector_reads_a_squared_for_commute(n):
         assert lifted.cert.entry("defect").lhs == inst.distance(inst.mul(p, p), p)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        MatrixAlgebra(COMPLEX, 3),
+        MatrixAlgebra(COMPLEX, 3, "spectral"),
+        MatrixAlgebra(ScaledIntegers(1), 3),
+        MatrixAlgebra(ScaledIntegers("1/2"), 3),
+    ],
+    ids=["col-l1", "spectral", "integers", "halves"],
+)
+def test_lift_needing_no_newton_step_records_the_exact_zero_difference(inst):
+    a = inst.add(inst.unit_matrix(0, 0), inst.unit_matrix(0, 1))  # an idempotent
+    a_sq = inst.mul(a, a)
+    zero = inst.distance(a, a)
+    given = calculus._lift(inst, a, a_sq, "corrected", 1e-12, inst.distance(a_sq, a))[0]
+    for lifted in (lift_idempotent(inst, a, "corrected", 1e-12), given):
+        assert lifted.e is a
+        for name in ("commute", "distance-h", "distance-derived"):
+            lhs = lifted.cert.entry(name).lhs
+            assert lhs == zero and type(lhs) is type(zero), name
+    # with no prefix, extend appends the frozen entries themselves, in order
+    cert = inst.certificate()
+    cert.extend(lifted.cert)
+    assert len(cert.entries) == len(lifted.cert.entries)
+    assert all(x is y for x, y in zip(cert.entries, lifted.cert.entries))
+    cert.extend(lifted.cert, prefix="lift:")
+    assert cert.names()[len(lifted.cert.entries) :] == ["lift:" + n for n in lifted.cert.names()]
+
+
 def test_intertwiner_from_a_product_already_formed_is_the_same_element():
     inst = _CountingMatrices(6)
     rng = np.random.default_rng(103)

@@ -294,15 +294,26 @@ def _tower_norm_calls(tower, run):
     return sum(inst.norm_calls for inst in tower.levels)
 
 
-def test_transfers_measure_each_norm_they_hold_once():
+def test_transfers_measure_each_norm_they_hold_once(monkeypatch):
     tower = _counting_uhf_tower(3)
     inst = tower.levels[2]
     p = conjugated_projector(inst, 2, np.random.default_rng(113), spread=0.4)
-    # the scan's defect, the lift's four, norm(e), the input's colimit
-    # norm, norm(1 - e), the inversion's one and norm(u_inv); the transfer
-    # distance is the lift's, not measured again
+    # the scan's defect, norm(2a - 1), norm(e) and the inversion's one: the
+    # lift reads the scan's defect, its commute and distance entries are
+    # exact zeros, the input's colimit norm is norm(e) plus the tail, and
+    # norm(1 - e) and norm(u_inv) are multiplied only by the zero tail
     e = LimitElement(2, p, 0.0)
-    assert _tower_norm_calls(tower, lambda: transfer_surjective(tower, e, eps=0.01)) == 10
+    assert _tower_norm_calls(tower, lambda: transfer_surjective(tower, e, eps=0.01)) == 4
+    # with a tail, each of those norms is measured, and once
+    a, tail = _random_level_idempotent(tower, 2, np.random.default_rng(127), almost=True)
+    seen = []
+    monkeypatch.setattr(inst, "norm", lambda x: seen.append(x) or type(inst).norm(inst, x))
+    result = transfer_surjective(tower, LimitElement(2, a, tail), eps=0.01)
+    e_j, u_inv = result.idempotent.e, result.unit.u_inv.representative
+    assert tail > 0 and result.level == 2 and e_j is not a
+    for held in (a, inst.sub(inst.one(), e_j), u_inv):
+        assert sum(x.shape == held.shape and np.array_equal(x, held) for x in seen) == 1
+    monkeypatch.undo()
     # norm(u_inv) is measured once, for both the bound and the inverse tail
     c = _cert(inst, p)
     u = LimitElement(2, inst.one(), 0.0)

@@ -68,6 +68,15 @@ def test_non_idempotent_sample_rejected():
         path_trivialize(path, tol=1e-8)
 
 
+def test_nan_sample_is_rejected_by_the_sample_check():
+    # NaN > tol is false, so the check must read "not defect <= tol"; the
+    # later unit inversion would fail only with a PreconditionError
+    nan = np.full((2, 2), math.nan, dtype=complex)
+    path = IdempotentPath(M2, lambda t: nan, lipschitz_hint=1.0)
+    with pytest.raises(PathError, match="fails the idempotent check: defect nan"):
+        path_trivialize(path, tol=1e-8)
+
+
 def test_rank_constant_at_every_sample():
     for path in (rotation_path(M2), conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=3)):
         path_trivialize(path, tol=1e-8)

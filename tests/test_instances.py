@@ -97,19 +97,18 @@ def test_nested_matrix_product_is_the_blockwise_product():
     assert np.array_equal(outer.mul(x, y), expected)
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [
-        MatrixAlgebra(COMPLEX, 3),
-        MatrixAlgebra(ScaledIntegers(2), 2),
-        MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
-        MatrixAlgebra(SequenceAlgebra("l1", 3, COMPLEX), 2),
-        SampledFunctionAlgebra(range(3), MatrixAlgebra(COMPLEX, 2)),
-        SequenceAlgebra("l1", 4, MatrixAlgebra(ScaledIntegers(1), 2)),
-        SequenceAlgebra("l1", 3, SequenceAlgebra("l1", 2, COMPLEX)),
-    ],
-    ids=lambda i: str(i.describe()),
-)
+_NESTED = [
+    MatrixAlgebra(COMPLEX, 3),
+    MatrixAlgebra(ScaledIntegers(2), 2),
+    MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
+    MatrixAlgebra(SequenceAlgebra("l1", 3, COMPLEX), 2),
+    SampledFunctionAlgebra(range(3), MatrixAlgebra(COMPLEX, 2)),
+    SequenceAlgebra("l1", 4, MatrixAlgebra(ScaledIntegers(1), 2)),
+    SequenceAlgebra("l1", 3, SequenceAlgebra("l1", 2, COMPLEX)),
+]
+
+
+@pytest.mark.parametrize("inst", _NESTED, ids=lambda i: str(i.describe()))
 def test_operations_accept_leading_batch_axes(inst):
     rng = np.random.default_rng(6)
     xs = [inst.random_element(rng) for _ in range(2)]
@@ -122,6 +121,35 @@ def test_operations_accept_leading_batch_axes(inst):
         assert np.array_equal(products[b], inst.mul(xs[b], ys[b]))
         assert np.array_equal(by_one[b], inst.mul(xs[b], ys[0]))
         assert norms[b] == inst.norm(xs[b])
+
+
+def _method_norms(inst, x):
+    """Container norms through ``ndarray.sum`` and ``ndarray.max``."""
+    inner = inst.inner.norms(x)
+    if isinstance(inst, MatrixAlgebra):
+        return inner.sum(axis=-2).max(axis=-1)
+    if isinstance(inst, SampledFunctionAlgebra):
+        return inner.max(axis=-1)
+    return inner.sum(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [*_NESTED, SampledFunctionAlgebra(range(4), ScaledIntegers("1/2")), SequenceAlgebra("l1", 5, COMPLEX)],
+    ids=lambda i: str(i.describe()),
+)
+def test_container_zero_and_norms_match_the_ndarray_method_forms(inst):
+    zero = inst.zero()
+    full = np.full(inst.shape, inst.inner.zero(), dtype=inst.dtype)
+    assert zero.dtype == full.dtype and np.array_equal(zero, full)
+    assert [type(v) for v in zero.flat] == [type(v) for v in full.flat]
+    rng = np.random.default_rng(8)
+    batch = np.stack([inst.random_element(rng) for _ in range(3)])
+    for x in (batch, batch[0], zero):
+        norms, expected = inst.norms(x), _method_norms(inst, x)
+        assert type(norms) is type(expected) and np.array_equal(norms, expected)
+        if inst.exact:
+            assert [type(v) for v in np.ravel(norms)] == [type(v) for v in np.ravel(expected)]
 
 
 # ---------------------------------------------------------------------------

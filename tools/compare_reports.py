@@ -46,6 +46,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_EXTRAS = [
     ["transfer", "--tower", '{"kind":"uhf","depth":6}', "--direction", "inj", "--trials", "20"],
     ["transfer", "--tower", '{"kind":"cantor","depth":8}', "--direction", "sur", "--trials", "100"],
+    # the surjective transfers of the mc-trials towers: levels up to 4096
+    # points, and uhf levels up to 256 x 256 matrices
+    ["transfer", "--tower", '{"kind":"cantor","depth":12}', "--direction", "sur", "--trials", "100"],
+    ["transfer", "--tower", '{"kind":"uhf","depth":8}', "--direction", "sur", "--trials", "8"],
     ["path-trivialize", "--n", "4", "--path", "random"],
     ["k0", "--instance", '{"kind":"matrix","n":8}'],
     # the parser's own defaults, which no README command leaves unset
