@@ -33,9 +33,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import AlgebraInstance, Certificate
 from .errors import PreconditionError, SeriesTruncationError
@@ -46,18 +45,23 @@ _NEUMANN_FACTOR_CAP = SERIES_HARD_CAP.bit_length()
 NEWTON_STEP_CAP = 64
 
 
-@dataclass(frozen=True)
-class CertifiedUnit:
-    """An element with a two-sided inverse and residual certificates."""
+class CertifiedUnit(NamedTuple):
+    """An element with a two-sided inverse and residual certificates.
+
+    An immutable named tuple ``(u, u_inv, cert)``.
+    """
 
     u: Any
     u_inv: Any
     cert: Certificate
 
 
-@dataclass(frozen=True)
-class CertifiedIdempotent:
-    """An element whose squaring defect is certified."""
+class CertifiedIdempotent(NamedTuple):
+    """An element whose squaring defect is certified.
+
+    An immutable named tuple ``(e, cert)``; ``defect`` reads the
+    certificate's ``defect`` entry.
+    """
 
     e: Any
     cert: Certificate

@@ -82,6 +82,12 @@ class ExperimentConfig:
         for name in ("instance", "tower"):
             if not isinstance(getattr(self, name), (dict, type(None))):
                 raise ConfigError(f"the {name} descriptor must be a JSON object")
+        # a JSON true or false would otherwise pass as the number 1 or 0
+        # (field types are the annotation strings of a postponed evaluation)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, not a boolean: {value!r}")
         # numpy's generators take no negative seed
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,13 +44,13 @@ from .instances import (
 from .k0 import grid_bits, normalized_trace_key
 
 
-@dataclass(frozen=True)
-class LimitElement:
+class LimitElement(NamedTuple):
     """A colimit element: level representative plus certified tail bound.
 
     ``tail_bound`` bounds the colimit distance between the representative's
     image and the intended limit element; it is the caller's certified
-    promise, and the transfers add it to the bounds they certify.
+    promise, and the transfers add it to the bounds they certify.  An
+    immutable named tuple ``(level, representative, tail_bound)``.
     """
 
     level: int
@@ -96,8 +96,11 @@ def level_class_key(tower: Tower, level: int, e):
 # surjective transfer: colimit idempotent -> finite level
 
 
-@dataclass(frozen=True)
-class SurjectiveTransfer:
+class SurjectiveTransfer(NamedTuple):
+    """Outcome of :func:`transfer_surjective`: the level reached, the
+    certified level idempotent, the conjugating unit and the transfer
+    certificate, as an immutable named tuple."""
+
     level: int
     idempotent: CertifiedIdempotent
     unit: CertifiedUnit
@@ -210,8 +213,11 @@ def _inverse_tail(inv_norm: float, tail: float) -> float:
 # injective transfer: colimit equivalence -> finite level
 
 
-@dataclass(frozen=True)
-class InjectiveTransfer:
+class InjectiveTransfer(NamedTuple):
+    """Outcome of :func:`transfer_injective`: the level reached, the
+    composed conjugating unit and its certificate (the unit's own), as an
+    immutable named tuple."""
+
     level: int
     unit: CertifiedUnit
     cert: Certificate

@@ -10,6 +10,15 @@ luck.
 
 Elements of a completion are never materialized; see
 :mod:`idemkit.colimit` for the (finite representative, tail bound) encoding.
+
+A :class:`CertEntry` is a named tuple, as are the result records that the
+small certified operations return (certified units and idempotents, limit
+elements, transfers, classes, equivalence verdicts): a certificate of a
+sub-millisecond operation holds a dozen entries, and a named tuple is two
+to three times cheaper to build than a frozen dataclass.  Records are
+immutable either way; a named tuple also unpacks, indexes and compares
+equal to the plain tuple of its fields.  A :class:`Certificate` itself
+stays a mutable dataclass.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -71,13 +80,14 @@ def _norm_from_json(v) -> NormValue:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(NamedTuple):
     """One verified inequality ``lhs <= rhs``.
 
     Advisory entries are recorded for inspection but excluded from overall
     validity (used for bounds that are reported side by side with the one a
-    result is actually keyed on).
+    result is actually keyed on).  A named tuple, so it is immutable and
+    cheap to build; it also unpacks, indexes and compares equal to the
+    plain tuple ``(name, lhs, rhs, advisory)``.
     """
 
     name: str
@@ -127,14 +137,15 @@ class Certificate:
     def extend(self, other: "Certificate", prefix: str = "") -> None:
         """Absorb another certificate's entries, optionally name-prefixed.
 
-        Entries are frozen, so with no prefix the entries themselves are
+        Entries are immutable, so with no prefix the entries themselves are
         appended, not copies; a prefix makes renamed copies.
         """
         if not prefix:
             self.entries.extend(other.entries)
             return
-        for e in other.entries:
-            self.entries.append(CertEntry(prefix + e.name, e.lhs, e.rhs, e.advisory))
+        self.entries.extend(
+            CertEntry(prefix + name, lhs, rhs, advisory) for name, lhs, rhs, advisory in other.entries
+        )
 
     @property
     def valid(self) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from abc import abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -73,8 +74,23 @@ def over_complex(instance) -> bool:
     return isinstance(getattr(instance, "inner", None), ComplexScalars)
 
 
+#: largest identity, in entries, that a container keeps as a template to
+#: copy: above about 2**14 entries (128 x 128 complex) a fresh ``np.zeros``
+#: and a write of the unit are faster than a copy (2 vCPUs), and a kept
+#: template would hold one more element per instance, 256 MB at the top
+#: level of a depth-12 uhf tower
+ONE_TEMPLATE_ENTRIES = 2**14
+
+
 class Container(AlgebraInstance):
-    """Arrays of inner-instance entries along the container's own axes."""
+    """Arrays of inner-instance entries along the container's own axes.
+
+    A container of at most ``ONE_TEMPLATE_ENTRIES`` entries builds its
+    identity once, at construction, and :meth:`one` returns a fresh copy
+    of it; a larger one builds a fresh identity on each call.  Each
+    subclass sets its own attributes before calling this constructor and
+    builds its identity in ``_identity``.
+    """
 
     def __init__(self, inner: AlgebraInstance, axes: tuple):
         self.inner = inner
@@ -84,10 +100,22 @@ class Container(AlgebraInstance):
         self.exact = inner.exact
         self.slack = inner.slack
         self.magnitude_norm = inner.magnitude_norm
+        # the complex scalars' entry norms are np.abs itself: call the ufunc
+        # directly, unless a subclass of theirs measures entries otherwise
+        self._entry_norms = np.abs if type(inner).norms is ComplexScalars.norms else inner.norms
+        self._one = self._identity() if math.prod(self.shape) <= ONE_TEMPLATE_ENTRIES else None
 
     def _entry_mul(self, x, y):
         """Entrywise products; scalar entries multiply in numpy directly."""
         return self.inner.mul(x, y) if self.inner.shape else x * y
+
+    @abstractmethod
+    def _identity(self):
+        """A new identity element."""
+
+    def one(self):
+        # a fresh array either way, so that every caller may write into it
+        return self._identity() if self._one is None else self._one.copy()
 
     def zero(self):
         # 0 of complex128, and the int 0 of object arrays
@@ -118,9 +146,9 @@ class MatrixAlgebra(Container):
             raise ConfigError(f"unknown matrix norm {norm_kind!r}")
         if norm_kind == "spectral" and not isinstance(inner, ComplexScalars):
             raise ConfigError("spectral norm requires complex scalars")
-        super().__init__(inner, (n, n))
         self.n = n
         self.norm_kind = norm_kind
+        super().__init__(inner, (n, n))
         if norm_kind == "spectral":
             self.magnitude_norm = False
 
@@ -133,8 +161,9 @@ class MatrixAlgebra(Container):
         products = self.inner.mul(np.expand_dims(x, -d - 1), np.expand_dims(y, -d - 3))
         return functools.reduce(self.inner.add, np.moveaxis(products, -d - 2, 0))
 
-    def one(self):
+    def _identity(self):
         out = self.zero()
+        # the diagonal of the flattened matrix axes, one entry in n + 1
         out.reshape((self.n * self.n,) + self.inner.shape)[:: self.n + 1] = self.inner.one()
         return out
 
@@ -142,7 +171,7 @@ class MatrixAlgebra(Container):
         if self.norm_kind == "spectral":
             return np.linalg.norm(x, 2, axis=(-2, -1))
         # the ufunc reductions that ndarray.sum and ndarray.max dispatch to
-        return np.maximum.reduce(np.add.reduce(self.inner.norms(x), axis=-2), axis=-1)
+        return np.maximum.reduce(np.add.reduce(self._entry_norms(x), axis=-2), axis=-1)
 
     def unit_matrix(self, i: int, j: int, value=None):
         """Matrix with a single nonzero entry (the inner unit by default)."""
@@ -190,11 +219,11 @@ class SampledFunctionAlgebra(Container):
     def mul(self, x, y):
         return self._entry_mul(x, y)
 
-    def one(self):
+    def _identity(self):
         return np.full(self.shape, self.inner.one(), dtype=self.dtype)
 
     def norms(self, x):
-        return np.maximum.reduce(self.inner.norms(x), axis=-1)
+        return np.maximum.reduce(self._entry_norms(x), axis=-1)
 
     def indicator(self, points):
         """Indicator function of a subset of grid points (an idempotent)."""
@@ -259,13 +288,13 @@ class SequenceAlgebra(Container):
             out[i:] = self.inner.add(out[i:], self._entry_mul(xs[i : i + 1], ys[: t - i]))
         return np.moveaxis(out, 0, axis)
 
-    def one(self):
+    def _identity(self):
         out = self.zero()
         out[0] = self.inner.one()
         return out
 
     def norms(self, x):
-        return np.add.reduce(self.inner.norms(x), axis=-1)
+        return np.add.reduce(self._entry_norms(x), axis=-1)
 
     def serialize_element(self, x):
         return [self.inner.serialize_element(v) for v in x]

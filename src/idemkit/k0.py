@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,9 +41,11 @@ RANK_TOL = 1e-6
 _SKETCH_SEED = 0x1DE
 
 
-@dataclass(frozen=True)
-class IdempotentClass:
-    """A certified idempotent together with its conjugation-invariant key."""
+class IdempotentClass(NamedTuple):
+    """A certified idempotent together with its conjugation-invariant key.
+
+    An immutable named tuple ``(representative, key, cert)``.
+    """
 
     representative: CertifiedIdempotent
     key: Any
@@ -102,8 +104,13 @@ def normalized_trace_key(instance: MatrixAlgebra, e) -> Fraction:
 # equivalence
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
+    """Outcome of :func:`are_equivalent`, as an immutable named tuple.
+
+    ``verdict`` is ``"yes"`` (with the certified ``unit``), ``"no"`` (with
+    the differing keys as ``witness``) or ``"unknown"``.
+    """
+
     verdict: str  # "yes" | "no" | "unknown"
     unit: Optional[CertifiedUnit] = None
     witness: Optional[dict] = None

@@ -426,6 +426,25 @@ def test_config_rejects_a_seed_numpy_cannot_take(seed):
 
 
 @pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("k0", "seed", True),
+        ("lift", "tolerance", True),
+        ("transfer", "trials", True),
+        ("transfer", "eps", True),
+        ("lift", "defect", False),
+        ("collapse", "n", True),
+        ("swindle-check", "support", True),
+        ("norm-audit", "samples", True),
+    ],
+)
+def test_config_rejects_a_boolean_in_a_numeric_field(command, field, value):
+    # JSON true and false are Python bools, which are ints
+    with pytest.raises(ConfigError, match=f"^{field} must be a number, not a boolean: {value}$"):
+        ExperimentConfig.from_dict({"command": command, field: value})
+
+
+@pytest.mark.parametrize(
     "args",
     [
         pytest.param(["k0", "--seed", "-1"], id="k0-negative-seed"),
@@ -550,6 +569,21 @@ def test_compare_reports_runs_a_command_and_reads_its_peak_rss(tmp_path):
     assert (code, stdout, stderr) == (0, b"", b"")
     assert json.loads(report)["summary"]["all_certificates_valid"]
     assert wall > 0 and peak_mb > 1
+
+
+def test_compare_ops_pairs_this_checkout_with_itself():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "compare_ops.py"), str(root), "--workload", "cli-readme", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("cli-readme seed 1: 20 ops per side, rounds 1,")
+    assert lines[1].startswith("parent: ops_per_s ") and lines[2].strip().startswith("here: ops_per_s ")
+    assert lines[-1] == "0 failed checks"
 
 
 def test_collapse_keeps_its_own_default_size():

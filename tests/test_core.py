@@ -6,6 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from idemkit.calculus import (
+    CertifiedIdempotent,
+    CertifiedUnit,
+    certify_idempotent,
+    lift_idempotent,
+)
+from idemkit.colimit import (
+    InjectiveTransfer,
+    LimitElement,
+    SurjectiveTransfer,
+    transfer_injective,
+    transfer_surjective,
+)
 from idemkit.core import (
     Certificate,
     CertEntry,
@@ -18,7 +31,17 @@ from idemkit.core import (
     tensor_norm_int,
 )
 from idemkit.errors import ConfigError
-from idemkit.instances import COMPLEX, MatrixAlgebra, SampledFunctionAlgebra, SequenceAlgebra
+from idemkit.homotopy import path_trivialize, rotation_path
+from idemkit.instances import (
+    COMPLEX,
+    MatrixAlgebra,
+    SampledFunctionAlgebra,
+    SequenceAlgebra,
+    conjugated_projector,
+    make_uhf_tower,
+    random_almost_idempotent,
+)
+from idemkit.k0 import EquivalenceResult, IdempotentClass, are_equivalent, classify
 
 from test_calculus import _CountingMatrices
 
@@ -100,6 +123,82 @@ def test_norm_to_json_keeps_each_value_and_type(value, expected):
 def test_cert_entry_from_json_parses_fraction_strings():
     e = CertEntry.from_json({"name": "x", "lhs": "1/3", "rhs": "1/2"})
     assert e.holds and e.lhs == Fraction(1, 3)
+
+
+def test_prefixed_extend_makes_cert_entries():
+    inner = Certificate()
+    inner.add("a", 1, 2)
+    inner.add("b", 3, 1, advisory=True)
+    outer = Certificate()
+    outer.extend(inner, prefix="p:")
+    assert [type(e) for e in outer.entries] == [CertEntry, CertEntry]
+    assert outer.entries == [CertEntry("p:a", 1, 2), CertEntry("p:b", 3, 1, advisory=True)]
+    assert outer.valid and not outer.entry("p:b").holds
+    # with no prefix the entries themselves are shared
+    outer.extend(inner)
+    assert outer.entries[2] is inner.entries[0]
+
+
+@pytest.fixture(scope="module")
+def op_results():
+    """One result of each small certified op, built by the library."""
+    inst = MatrixAlgebra(COMPLEX, 4)
+    rng = np.random.default_rng(5)
+    lift = lift_idempotent(inst, random_almost_idempotent(inst, 0.1, seed=3), "corrected", 1e-10)
+    e, f = (certify_idempotent(inst, conjugated_projector(inst, 2, rng), 1e-9) for _ in range(2))
+    equivalence = are_equivalent(inst, e, f)
+    tower = make_uhf_tower(3)
+    level_e = conjugated_projector(tower.levels[1], 1, rng, spread=0.4)
+    limit = LimitElement(1, level_e, 0.0)
+    sur = transfer_surjective(tower, limit, eps=0.01)
+    level_f = certify_idempotent(tower.levels[1], level_e, 1e-9)
+    inj = transfer_injective(tower, 1, level_f, level_f, LimitElement(1, tower.levels[1].one()), eps=0.01)
+    path = path_trivialize(rotation_path(MatrixAlgebra(COMPLEX, 2)), tol=1e-8)
+    return {
+        "lift": lift,
+        "equivalence": equivalence,
+        "class": classify(inst, e),
+        "limit": limit,
+        "transfer": sur,
+        "injective": inj,
+        "path": path,
+        "entry": lift.cert.entries[0],
+    }
+
+
+def test_records_are_immutable_tuples(op_results):
+    records = [*op_results.values(), op_results["transfer"].unit, op_results["equivalence"].unit]
+    kinds = {type(r) for r in records}
+    assert kinds == {
+        CertEntry,
+        CertifiedIdempotent,
+        CertifiedUnit,
+        EquivalenceResult,
+        IdempotentClass,
+        LimitElement,
+        SurjectiveTransfer,
+        InjectiveTransfer,
+    }
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # a record unpacks, indexes and compares equal as the tuple of its fields
+    entry = op_results["entry"]
+    name, lhs, rhs, advisory = entry
+    assert entry == (name, lhs, rhs, advisory) and entry[0] == entry.name
+    assert op_results["lift"].defect == op_results["lift"].cert.entry("defect").lhs
+
+
+@pytest.mark.parametrize("which", ["lift", "transfer", "path"])
+def test_op_certificates_round_trip_through_json(op_results, which):
+    cert = op_results[which].cert
+    back = Certificate.from_json(cert.to_json())
+    assert back.to_json() == cert.to_json()
+    assert all(type(e) is CertEntry for e in back.entries)
+    assert back.valid == cert.valid
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Concrete instances, towers and seeded generators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ from idemkit.core import GROUP_AXIOM_PREFIXES, ScaledIntegers, check_norm_axioms
 from idemkit.errors import ConfigError
 from idemkit.instances import (
     COMPLEX,
+    ComplexScalars,
     MAX_ELEMENT_ENTRIES,
+    ONE_TEMPLATE_ENTRIES,
     MatrixAlgebra,
     SampledFunctionAlgebra,
     SequenceAlgebra,
@@ -145,11 +148,78 @@ def test_container_zero_and_norms_match_the_ndarray_method_forms(inst):
     assert [type(v) for v in zero.flat] == [type(v) for v in full.flat]
     rng = np.random.default_rng(8)
     batch = np.stack([inst.random_element(rng) for _ in range(3)])
-    for x in (batch, batch[0], zero):
+    xs = [batch, batch[0], zero]
+    if not inst.exact:
+        # NaN, infinite and negative-zero entries, alone and in a batch
+        special = batch[0].copy()
+        special.flat[:3] = [complex(np.nan, 1.0), complex(-np.inf, 0.0), complex(-0.0, -0.0)]
+        negative_zero = batch[1].copy()
+        negative_zero.flat[::2] = complex(-0.0, -0.0)
+        xs += [special, negative_zero, np.stack([negative_zero, special, batch[2]])]
+    for x in xs:
         norms, expected = inst.norms(x), _method_norms(inst, x)
-        assert type(norms) is type(expected) and np.array_equal(norms, expected)
+        assert type(norms) is type(expected)
         if inst.exact:
+            assert np.array_equal(norms, expected)
             assert [type(v) for v in np.ravel(norms)] == [type(v) for v in np.ravel(expected)]
+        else:
+            # bit for bit, NaN and the sign of zero included
+            assert norms.dtype == expected.dtype and norms.tobytes() == expected.tobytes()
+
+
+class _DoubledComplex(ComplexScalars):
+    def norms(self, x):
+        return 2 * np.abs(x)
+
+
+def test_container_entry_norms_follow_an_inner_instance_that_overrides_them():
+    # only ComplexScalars' own norms are replaced by a direct np.abs call
+    for inst in (MatrixAlgebra(_DoubledComplex(), 2), SampledFunctionAlgebra(range(2), _DoubledComplex())):
+        assert inst.norm(inst.one()) == 2.0
+
+
+def _built_one(inst):
+    """The identity as ``one`` built it on each call before it kept a template."""
+    if isinstance(inst, MatrixAlgebra):
+        out = inst.zero()
+        out.reshape((inst.n * inst.n,) + inst.inner.shape)[:: inst.n + 1] = inst.inner.one()
+        return out
+    if isinstance(inst, SampledFunctionAlgebra):
+        return np.full(inst.shape, inst.inner.one(), dtype=inst.dtype)
+    out = inst.zero()
+    out[0] = inst.inner.one()
+    return out
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        MatrixAlgebra(COMPLEX, 3),
+        # the largest identity kept as a template, and the smallest built on each call
+        MatrixAlgebra(COMPLEX, math.isqrt(ONE_TEMPLATE_ENTRIES)),
+        MatrixAlgebra(COMPLEX, math.isqrt(ONE_TEMPLATE_ENTRIES) + 1),
+        MatrixAlgebra(ScaledIntegers(1), 3),
+        MatrixAlgebra(ScaledIntegers("1/2"), 2),
+        MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
+        SampledFunctionAlgebra(range(4), COMPLEX),
+        SampledFunctionAlgebra(range(3), MatrixAlgebra(ScaledIntegers(1), 2)),
+        SampledFunctionAlgebra(range(ONE_TEMPLATE_ENTRIES + 1), COMPLEX),
+        SequenceAlgebra("l1", 5, COMPLEX),
+        SequenceAlgebra("l1", 3, MatrixAlgebra(COMPLEX, 2)),
+    ],
+    ids=lambda i: f"{i.kind}-{math.prod(i.shape)}-{np.dtype(i.dtype)}",
+)
+def test_one_returns_a_fresh_writable_identity(inst):
+    expected = _built_one(inst)
+    first = inst.one()
+    assert first.dtype == expected.dtype and np.array_equal(first, expected)
+    assert [type(v) for v in first.flat] == [type(v) for v in expected.flat]
+    assert first.flags.writeable and first.flags.owndata
+    first.fill(7)
+    second = inst.one()
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(second, expected)
+    assert [type(v) for v in second.flat] == [type(v) for v in expected.flat]
 
 
 # ---------------------------------------------------------------------------
