@@ -89,7 +89,7 @@ class ExperimentConfig:
             if f.type in ("int", "float") and isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be a number, not a boolean: {value!r}")
         # numpy's generators take no negative seed
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
+        if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")

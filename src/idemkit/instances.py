@@ -45,8 +45,8 @@ class ComplexScalars(AlgebraInstance):
     def zero(self):
         return complex(0)
 
-    def norms(self, x):
-        return np.abs(x)
+    # the ufunc itself, so that a container's entry norms cost no extra frame
+    norms = staticmethod(np.abs)
 
     def norm(self, x) -> float:
         return abs(x)
@@ -86,10 +86,9 @@ class Container(AlgebraInstance):
     """Arrays of inner-instance entries along the container's own axes.
 
     A container of at most ``ONE_TEMPLATE_ENTRIES`` entries builds its
-    identity once, at construction, and :meth:`one` returns a fresh copy
-    of it; a larger one builds a fresh identity on each call.  Each
-    subclass sets its own attributes before calling this constructor and
-    builds its identity in ``_identity``.
+    identity once, on the first :meth:`one` call, and returns a fresh copy
+    of it from then on; a larger one builds a fresh identity on each call.
+    Each subclass builds its identity in ``_identity``.
     """
 
     def __init__(self, inner: AlgebraInstance, axes: tuple):
@@ -100,10 +99,6 @@ class Container(AlgebraInstance):
         self.exact = inner.exact
         self.slack = inner.slack
         self.magnitude_norm = inner.magnitude_norm
-        # the complex scalars' entry norms are np.abs itself: call the ufunc
-        # directly, unless a subclass of theirs measures entries otherwise
-        self._entry_norms = np.abs if type(inner).norms is ComplexScalars.norms else inner.norms
-        self._one = self._identity() if math.prod(self.shape) <= ONE_TEMPLATE_ENTRIES else None
 
     def _entry_mul(self, x, y):
         """Entrywise products; scalar entries multiply in numpy directly."""
@@ -112,6 +107,11 @@ class Container(AlgebraInstance):
     @abstractmethod
     def _identity(self):
         """A new identity element."""
+
+    @functools.cached_property
+    def _one(self):
+        # the template, or None where building anew is cheaper than a copy
+        return self._identity() if math.prod(self.shape) <= ONE_TEMPLATE_ENTRIES else None
 
     def one(self):
         # a fresh array either way, so that every caller may write into it
@@ -146,9 +146,9 @@ class MatrixAlgebra(Container):
             raise ConfigError(f"unknown matrix norm {norm_kind!r}")
         if norm_kind == "spectral" and not isinstance(inner, ComplexScalars):
             raise ConfigError("spectral norm requires complex scalars")
+        super().__init__(inner, (n, n))
         self.n = n
         self.norm_kind = norm_kind
-        super().__init__(inner, (n, n))
         if norm_kind == "spectral":
             self.magnitude_norm = False
 
@@ -171,7 +171,7 @@ class MatrixAlgebra(Container):
         if self.norm_kind == "spectral":
             return np.linalg.norm(x, 2, axis=(-2, -1))
         # the ufunc reductions that ndarray.sum and ndarray.max dispatch to
-        return np.maximum.reduce(np.add.reduce(self._entry_norms(x), axis=-2), axis=-1)
+        return np.maximum.reduce(np.add.reduce(self.inner.norms(x), axis=-2), axis=-1)
 
     def unit_matrix(self, i: int, j: int, value=None):
         """Matrix with a single nonzero entry (the inner unit by default)."""
@@ -223,7 +223,7 @@ class SampledFunctionAlgebra(Container):
         return np.full(self.shape, self.inner.one(), dtype=self.dtype)
 
     def norms(self, x):
-        return np.maximum.reduce(self._entry_norms(x), axis=-1)
+        return np.maximum.reduce(self.inner.norms(x), axis=-1)
 
     def indicator(self, points):
         """Indicator function of a subset of grid points (an idempotent)."""
@@ -294,7 +294,7 @@ class SequenceAlgebra(Container):
         return out
 
     def norms(self, x):
-        return np.add.reduce(self._entry_norms(x), axis=-1)
+        return np.add.reduce(self.inner.norms(x), axis=-1)
 
     def serialize_element(self, x):
         return [self.inner.serialize_element(v) for v in x]

@@ -173,7 +173,7 @@ class _DoubledComplex(ComplexScalars):
 
 
 def test_container_entry_norms_follow_an_inner_instance_that_overrides_them():
-    # only ComplexScalars' own norms are replaced by a direct np.abs call
+    # a container asks its inner instance for the entry norms, an override included
     for inst in (MatrixAlgebra(_DoubledComplex(), 2), SampledFunctionAlgebra(range(2), _DoubledComplex())):
         assert inst.norm(inst.one()) == 2.0
 
