@@ -22,11 +22,9 @@ from .calculus import (
     corrected_coefficient,
     h_bound,
     intertwiner,
-    invertibility_radius,
     lift_idempotent,
     neumann_inverse,
     printed_coefficient,
-    quasi_inverse_mod_ideal,
     scalar_lift_rational,
 )
 from .colimit import (

@@ -179,23 +179,6 @@ def neumann_inverse(instance: AlgebraInstance, u, tol: float) -> CertifiedUnit:
     return CertifiedUnit(u, acc, cert)
 
 
-def invertibility_radius(instance: AlgebraInstance, unit: CertifiedUnit) -> float:
-    """Radius of the certified invertibility neighborhood around a unit.
-
-    Any ``v`` with ``norm(v - u)`` below the returned radius satisfies
-    ``norm(1 - u_inv * v) < 1``, so ``u_inv * v`` (and with it ``v``) is
-    invertible by :func:`neumann_inverse`.
-    """
-    resid = max(
-        float(unit.cert.entry("residual-left").lhs),
-        float(unit.cert.entry("residual-right").lhs),
-    )
-    ninv = float(instance.norm(unit.u_inv))
-    if ninv == 0:
-        return math.inf
-    return (1 - resid) / ninv
-
-
 # ---------------------------------------------------------------------------
 # conjugation of nearby idempotents
 
@@ -490,28 +473,3 @@ def scalar_lift_rational(a: Fraction, variant: str, terms: int) -> Fraction:
         x = sum((corrected_coefficient(n) * s**n for n in range(1, terms + 1)), Fraction(0))
         return a + (2 * a - 1) * x
     raise PreconditionError(f"unknown lift variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# quasi-inverses modulo a dense ideal
-
-
-def quasi_inverse_mod_ideal(
-    instance: AlgebraInstance, a, ideal_witness, tol: float
-) -> CertifiedUnit:
-    """Certified inverse of ``1 + (a - witness)`` for a witness in a dense ideal.
-
-    When the witness lies in an ideal and ``norm(a - witness) < 1``, the
-    returned unit certifies that ``1 + a`` is invertible modulo that ideal.
-    """
-    delta = instance.distance(a, ideal_witness)
-    if delta >= 1:
-        raise PreconditionError(
-            f"witness not close enough: norm(a - witness) = {delta} >= 1"
-        )
-    u = instance.add(instance.one(), instance.sub(a, ideal_witness))
-    inverted = neumann_inverse(instance, u, tol)
-    cert = instance.certificate()
-    cert.add("witness-distance", delta, 1)
-    cert.extend(inverted.cert)
-    return CertifiedUnit(u, inverted.u_inv, cert)

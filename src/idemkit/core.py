@@ -364,25 +364,25 @@ def _min_term_cost(b: int) -> dict[int, int]:
     """Min of ``sum |x_i*y_i|`` to write each reachable integer as
     ``sum x_i*y_i`` with at most ``b`` terms and ``|x_i|, |y_i| <= b``.
 
-    Brute force by rounds of min-plus relaxation: round ``k`` extends every
-    value reached with fewer than ``k`` terms by every nonzero product,
-    keeping partial sums within ``b**3``, until a round changes nothing.
-    The costs live in an int64 array indexed by ``v + b**3``, with one
-    vectorized update per product; unreached values hold a sentinel.
+    Brute force by ``b`` rounds of min-plus relaxation: round ``k`` extends
+    every value reached with fewer than ``k`` terms by every nonzero
+    product, keeping partial sums within ``b**3``.  The costs live in an
+    int64 array indexed by ``v + b**3``, with one vectorized update per
+    product; unreached values hold a sentinel.
     """
     products = sorted({x * y for x in range(-b, b + 1) for y in range(-b, b + 1)} - {0})
     reach = b * b * b
     unreached = np.iinfo(np.int64).max // 2
     best = np.full(2 * reach + 1, unreached, dtype=np.int64)
     best[reach] = 0
+    # no early exit: round k (from 0) is the first to reach +-(k+1)*b**2,
+    # at most b**3, so every one of the b rounds changes the table
     for _ in range(b):
         nxt = best.copy()
         for p in products:
             # w = v + p for every v with |w| <= reach
             dst, src = (nxt[p:], best[:-p]) if p > 0 else (nxt[:p], best[-p:])
             np.minimum(dst, src + abs(p), out=dst)
-        if np.array_equal(nxt, best):
-            break
         best = nxt
     (reached,) = np.nonzero(best < unreached)
     return dict(zip((reached - reach).tolist(), best[reached].tolist()))

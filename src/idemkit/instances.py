@@ -51,11 +51,6 @@ class ComplexScalars(AlgebraInstance):
     def norm(self, x) -> float:
         return abs(x)
 
-    def try_inverse(self, x):
-        if x == 0:
-            raise IdemkitError("zero is not invertible")
-        return 1 / x
-
     def random_element(self, rng):
         return complex(rng.standard_normal(), rng.standard_normal())
 
@@ -127,6 +122,10 @@ class Container(AlgebraInstance):
         # entry by entry in row-major order: the draws of the inner generator
         entries = [self.inner.random_element(rng) for _ in range(math.prod(self.axes))]
         return np.array(entries, dtype=self.dtype).reshape(self.shape)
+
+    def serialize_element(self, x):
+        # the entries along one axis; MatrixAlgebra lists its rows instead
+        return [self.inner.serialize_element(v) for v in x]
 
 
 class MatrixAlgebra(Container):
@@ -239,9 +238,6 @@ class SampledFunctionAlgebra(Container):
             raise IdemkitError("function vanishes somewhere; not invertible")
         return 1.0 / x
 
-    def serialize_element(self, x):
-        return [self.inner.serialize_element(v) for v in x]
-
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -295,9 +291,6 @@ class SequenceAlgebra(Container):
 
     def norms(self, x):
         return np.add.reduce(self.inner.norms(x), axis=-1)
-
-    def serialize_element(self, x):
-        return [self.inner.serialize_element(v) for v in x]
 
     def describe(self) -> dict:
         return {

@@ -18,11 +18,9 @@ from idemkit.calculus import (
     corrected_coefficient,
     h_bound,
     intertwiner,
-    invertibility_radius,
     lift_idempotent,
     neumann_inverse,
     printed_coefficient,
-    quasi_inverse_mod_ideal,
     scalar_lift_rational,
 )
 from idemkit.core import ScaledIntegers
@@ -82,43 +80,18 @@ def test_neumann_residuals_within_tail_on_random_contractions():
         m *= rng.uniform(0, 0.9) / inst.norm(m)
         unit = neumann_inverse(inst, np.eye(n, dtype=complex) - m, 1e-9)
         assert unit.cert.valid
-
-
-# ---------------------------------------------------------------------------
-# invertibility radius
-
-
-def test_radius_examples():
-    assert invertibility_radius(COMPLEX, neumann_inverse(COMPLEX, 1 + 0j, 1e-12)) == pytest.approx(
-        1.0, abs=1e-9
-    )
-    # u = 2 is outside the series hypothesis; certify its inverse directly
-    from idemkit.calculus import CertifiedUnit
-    from idemkit.core import Certificate
-
-    cert = Certificate()
-    cert.add("residual-left", 0.0, 1e-12)
-    cert.add("residual-right", 0.0, 1e-12)
-    unit = CertifiedUnit(complex(2), complex(0.5), cert)
-    assert invertibility_radius(COMPLEX, unit) == pytest.approx(2.0)
-
-
-def test_radius_diag_matrix():
-    u = np.diag([1.0 + 0j, 0.5 + 0j])
-    unit = neumann_inverse(M2, u, 1e-12)
-    assert invertibility_radius(M2, unit) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_radius_contract_on_nearby_elements():
-    u = np.diag([1.0 + 0j, 0.5 + 0j])
-    unit = neumann_inverse(M2, u, 1e-12)
-    eps = invertibility_radius(M2, unit)
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        p = M2.random_element(rng)
-        v = u + 0.99 * eps * p / M2.norm(p)
-        w = M2.mul(unit.u_inv, v)
-        assert M2.norm(M2.sub(M2.one(), w)) < 1  # invertible by the series
+    # and over a convolution algebra: u = 1 + (a - head) with an l1 tail of
+    # 0.3 in degrees 4 to 7, whose square truncates to 0, so 1 - (a - head)
+    # is the exact inverse
+    inst = SequenceAlgebra("l1", 8, COMPLEX)
+    head = np.array([0.2, 0.1, 0.05, 0.05, 0, 0, 0, 0], dtype=complex)
+    a = head + np.array([0, 0, 0, 0, 0.1, 0.1, 0.05, 0.05], dtype=complex)
+    unit = neumann_inverse(inst, inst.add(inst.one(), inst.sub(a, head)), 1e-10)
+    tail = unit.cert.entry("tail-bound").lhs
+    assert unit.cert.valid
+    assert np.array_equal(unit.u_inv, inst.sub(inst.one(), inst.sub(a, head)))
+    assert unit.cert.entry("residual-left").lhs <= tail
+    assert unit.cert.entry("residual-right").lhs <= tail
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +340,6 @@ def test_lift_precondition_failure():
         lift_idempotent(COMPLEX, 0.5 + 0.6j, "corrected", 1e-9)
     with pytest.raises(PreconditionError):
         lift_idempotent(COMPLEX, 0.1 + 0j, "mystery", 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# quasi-inverses modulo an ideal
-
-
-def test_quasi_inverse_trivial():
-    unit = quasi_inverse_mod_ideal(COMPLEX, 0j, 0j, 1e-12)
-    assert unit.u_inv == 1
-    assert unit.cert.valid
-
-
-def test_quasi_inverse_on_truncated_sequence_with_small_tail():
-    inst = SequenceAlgebra("l1", 8, COMPLEX)
-    head = np.array([0.2, 0.1, 0.05, 0.05, 0, 0, 0, 0], dtype=complex)
-    tail_part = np.array([0, 0, 0, 0, 0.1, 0.1, 0.05, 0.05], dtype=complex)
-    a = head + tail_part
-    assert inst.distance(a, head) == pytest.approx(0.3)
-    unit = quasi_inverse_mod_ideal(inst, a, head, 1e-10)
-    assert unit.cert.valid
-    assert unit.cert.entry("witness-distance").lhs == pytest.approx(0.3)
-
-
-def test_quasi_inverse_witness_too_far():
-    with pytest.raises(PreconditionError):
-        quasi_inverse_mod_ideal(COMPLEX, 1.2 + 0j, 0j, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,10 @@ DEFAULT_EXTRAS = [
     ["transfer", "--tower", '{"kind":"uhf","depth":8}', "--direction", "sur", "--trials", "8"],
     ["path-trivialize", "--n", "4", "--path", "random"],
     ["k0", "--instance", '{"kind":"matrix","n":8}'],
+    # the scalar and grid routes of k0 (the grid-gap entry), which no
+    # README command takes
+    ["k0", "--instance", '{"kind":"complex"}'],
+    ["k0", "--instance", '{"kind":"functions","points":4}'],
     # the parser's own defaults, which no README command leaves unset
     ["collapse"],
     ["lift"],
@@ -63,6 +67,8 @@ DEFAULT_EXTRAS = [
     ["norm-audit"],
     ["norm-audit", "--instance", '{"kind":"matrix","n":3,"norm":"spectral"}', "--samples", "16"],
     ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
+    # a sequence algebra, which no README command builds
+    ["norm-audit", "--instance", '{"kind":"sequence","truncation":4}'],
 ]
 
 #: help and parser-error argument lists, compared at every seed like the
