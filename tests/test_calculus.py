@@ -71,6 +71,18 @@ def test_neumann_precondition_failure():
         neumann_inverse(COMPLEX, -1 + 0j, 1e-9)  # norm(1 - u) = 2
 
 
+def test_neumann_precondition_reads_the_norm_not_the_spectrum():
+    # in a truncated sequence algebra the shift x is nilpotent, so 1 - x is
+    # invertible, but norm(x) = 1 leaves the series without a certificate
+    inst = SequenceAlgebra("l1", 4, COMPLEX)
+    x = np.array([0, 1, 0, 0], dtype=complex)
+    with pytest.raises(PreconditionError, match="not below 1"):
+        neumann_inverse(inst, inst.sub(inst.one(), x), 1e-9)
+    unit = neumann_inverse(inst, inst.sub(inst.one(), 0.5 * x), 1e-9)
+    assert unit.cert.valid
+    assert np.allclose(unit.u_inv, [1, 0.5, 0.25, 0.125])
+
+
 def test_neumann_residuals_within_tail_on_random_contractions():
     rng = np.random.default_rng(23)
     for _ in range(50):

@@ -310,6 +310,16 @@ def test_min_term_cost_table_matches_dict_reference(b):
     assert all(type(k) is int and type(v) is int for k, v in table.items())
 
 
+def test_min_term_cost_reaches_the_cube_only_in_its_last_round():
+    # +-b**3 takes b terms of +-b*b, so the last of the b rounds still adds
+    # values: a round count cut short, or an exit on an unchanged round
+    # that fired early, would miss them
+    for b in range(1, 13):
+        table = _min_term_cost(b)
+        assert min(table) == -(b**3) and max(table) == b**3
+        assert table[b**3] == table[-(b**3)] == b**3
+
+
 # ---------------------------------------------------------------------------
 # scaled integers and the element wrapper
 

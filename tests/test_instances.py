@@ -1,5 +1,6 @@
 """Concrete instances, towers and seeded generators."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -265,6 +266,32 @@ def test_sequence_linf_is_coordinatewise():
     b = np.array([2, 0, 1, 1], dtype=complex)
     assert np.allclose(inst.mul(a, b), [2, 0, 3, 4])
     assert inst.norm(a) == 4.0
+
+
+def test_one_axis_containers_serialize_entry_by_entry():
+    # sampled functions and sequences share Container's form, one [re, im]
+    # pair per entry; MatrixAlgebra lists its rows instead
+    x = np.array([1 + 2j, -0.5 + 0j, -3j, 0j], dtype=complex)
+    expected = [[1.0, 2.0], [-0.5, 0.0], [0.0, -3.0], [0.0, 0.0]]
+    for inst in (SampledFunctionAlgebra(cantor_grid(2), COMPLEX), SequenceAlgebra("l1", 4, COMPLEX)):
+        out = inst.serialize_element(x)
+        assert out == expected
+        assert all(type(v) is float for pair in out for v in pair)
+        assert json.loads(json.dumps(out)) == expected
+    m = np.arange(4, dtype=complex).reshape(2, 2)
+    assert MatrixAlgebra(COMPLEX, 2).serialize_element(m) == [
+        [[0.0, 0.0], [1.0, 0.0]],
+        [[2.0, 0.0], [3.0, 0.0]],
+    ]
+
+
+def test_only_container_levels_invert_directly():
+    # transfer_injective asks a direct inverse of uhf and cantor levels only;
+    # complex scalars keep the base class's refusal
+    with pytest.raises(NotImplementedError, match="complex"):
+        COMPLEX.try_inverse(2 + 0j)
+    inst = SampledFunctionAlgebra(cantor_grid(1), COMPLEX)
+    assert np.array_equal(inst.try_inverse(np.array([2, 4j])), [0.5, -0.25j])
 
 
 # ---------------------------------------------------------------------------
