@@ -75,7 +75,7 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in _RUNNERS:
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.format!r}")
@@ -321,15 +321,24 @@ def _run_tensor_audit(config: ExperimentConfig, report: dict) -> None:
     report["certificates"].append(("tensor-identity", cert))
 
 
-_RUNNERS = {
-    "lift": _run_lift,
-    "k0": _run_k0,
-    "transfer": _run_transfer,
-    "path-trivialize": _run_path_trivialize,
-    "swindle-check": _run_swindle,
-    "collapse": _run_collapse,
-    "norm-audit": _run_norm_audit,
-    "tensor-audit": _run_tensor_audit,
+#: each command's help, the flags it reads besides the common ones, and its body
+_COMMANDS = {
+    "lift": (
+        "polish an almost-idempotent", ("--instance", "--tol", "--defect", "--variant"), _run_lift
+    ),
+    "k0": ("K0 presentation of an instance or a tower", ("--instance",), _run_k0),
+    "transfer": (
+        "tower transfer experiments",
+        ("--tower", "--tol", "--trials", "--eps", "--direction"),
+        _run_transfer,
+    ),
+    "path-trivialize": (
+        "trivialize an idempotent path", ("--tol", "--n", "--path"), _run_path_trivialize
+    ),
+    "swindle-check": ("verify the interleaving identity", ("--support",), _run_swindle),
+    "collapse": ("finite corner-span certificate", ("--instance", "--n"), _run_collapse),
+    "norm-audit": ("norm-axiom audit on an instance", ("--instance", "--samples"), _run_norm_audit),
+    "tensor-audit": ("projective tensor norm sweep", (), _run_tensor_audit),
 }
 
 
@@ -340,7 +349,7 @@ def build_report(config: ExperimentConfig) -> dict:
     :func:`~idemkit.report.render_report` serializes them.
     """
     report = _report_skeleton(config)
-    _RUNNERS[config.command](config, report)
+    _COMMANDS[config.command][2](config, report)
     report["summary"] = {
         "all_certificates_valid": all(cert.valid for _, cert in report["certificates"]),
         "certificates": len(report["certificates"]),
@@ -408,27 +417,11 @@ _FLAGS = {
 #: the flags every command reads
 _COMMON_FLAGS = ("--seed", "--out", "--format")
 
-#: each command's help and the flags it reads besides the common ones
-_COMMANDS = {
-    "lift": ("polish an almost-idempotent", ("--instance", "--tol", "--defect", "--variant")),
-    "k0": ("K0 presentation of an instance or a tower", ("--instance",)),
-    "transfer": (
-        "tower transfer experiments",
-        ("--tower", "--tol", "--trials", "--eps", "--direction"),
-    ),
-    "path-trivialize": ("trivialize an idempotent path", ("--tol", "--n", "--path")),
-    "swindle-check": ("verify the interleaving identity", ("--support",)),
-    "collapse": ("finite corner-span certificate", ("--instance", "--n")),
-    "norm-audit": ("norm-axiom audit on an instance", ("--instance", "--samples")),
-    "tensor-audit": ("projective tensor norm sweep", ()),
-}
-
-
 #: the config fields each command reads: the common flags' and its own
 _READ_FIELDS = {
     command: {"command"}
     | {_FLAGS[flag].get("dest", flag[2:]) for flag in (*_COMMON_FLAGS, *flags)}
-    for command, (_, flags) in _COMMANDS.items()
+    for command, (_, flags, _) in _COMMANDS.items()
 }
 
 
@@ -440,7 +433,7 @@ def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in commands:
-        help_text, flags = _COMMANDS[command]
+        help_text, flags, _ = _COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         for flag in (*_COMMON_FLAGS, *flags):
             p.add_argument(flag, **_FLAGS[flag])

@@ -77,17 +77,13 @@ class EndOperator:
         """``self`` after ``other``; column-finite composition."""
         if self.inner is not other.inner and self.inner.describe() != other.inner.describe():
             raise ConfigError("operator composition needs a common inner instance")
-        inner = self.inner
-        out: dict[int, list] = {}
-        for j, entries in other.columns.items():
-            acc: dict[int, Any] = {}
-            for i, b in entries:
-                for r, a in self.columns.get(i, ()):
-                    v = inner.mul(a, b)
-                    acc[r] = inner.add(acc[r], v) if r in acc else v
-            if acc:
-                out[j] = list(acc.items())
-        return EndOperator.from_columns(inner, out)
+        mul = self.inner.mul
+        # from_columns sums each column's products per row, in this order
+        out = {
+            j: [(r, mul(a, b)) for i, b in entries for r, a in self.columns.get(i, ())]
+            for j, entries in other.columns.items()
+        }
+        return EndOperator.from_columns(self.inner, out)
 
     def add(self, *others: "EndOperator") -> "EndOperator":
         """Sum with any number of operators, merged in one pass."""

@@ -9,8 +9,7 @@ class PreconditionError(IdemkitError):
     """A certified operation was called outside its provable hypothesis.
 
     Raised e.g. when an element is not provably invertible by the geometric
-    series, when two idempotents are not provably equivalent by proximity,
-    or when an ideal witness is not close enough.
+    series, or when two idempotents are not provably equivalent by proximity.
     """
 
 

@@ -32,7 +32,8 @@ from .calculus import (
     CertifiedUnit,
     certify_idempotent,
     certify_unit,
-    conjugating_unit,
+    intertwiner,
+    neumann_inverse,
 )
 from .core import AlgebraInstance
 from .errors import ConfigError, PathError
@@ -94,14 +95,18 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     segment threshold, then certifies ``norm(e(0)*u - u*e(1)) <= tol``
     together with the unit's residuals, the per-segment gaps, and the
     segment-count bound ``2*ceil(L/threshold) + 2``.  Each segment's unit
-    conjugates the samples' certified idempotents from
-    :meth:`IdempotentPath.certified`, and the composition starts from the
-    first segment's unit, so ``k`` segments take ``k - 1`` composing
-    products per side.  Raises
-    :class:`PathError` for a negative ``max_depth`` or a hint that is not
-    finite, when some gap stays above threshold at depth ``max_depth``
-    (the path is too wild for its hint) or when the hint itself is
-    violated.
+    is the intertwiner ``e*f + (1-e)*(1-f)`` of its two certified samples,
+    inverted by :func:`~idemkit.calculus.neumann_inverse`.  No segment gets
+    a certificate of its own: a gap ``g`` within the threshold keeps
+    ``norm(u - 1) <= 2*B*g + g**2 <= SEGMENT_MARGIN < 1``, so the threshold
+    is the one proximity check, ``neumann_inverse`` still refuses
+    ``norm(1 - u) >= 1``, and the composed unit's certificate is the one
+    check of the result.  The composition starts from the first segment's
+    unit, so ``k`` segments take ``k - 1`` composing products per side.
+    Raises :class:`PathError` for a negative ``max_depth`` or a hint that
+    is not finite, when some gap stays above threshold at depth
+    ``max_depth`` (the path is too wild for its hint) or when the hint
+    itself is violated.
     """
     if max_depth < 0:
         raise PathError("max_depth must be nonnegative")
@@ -151,11 +156,14 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
 
     # the last pass's points, gaps and threshold are the accepted segmentation;
     # composition can amplify per-segment residuals by the product of unit
-    # norms, so each segment is certified two orders tighter
+    # norms, so each segment's series is truncated two orders tighter
     seg_tol = tol / (100 * len(gaps))
-    samples = [path.certified(t) for t in points]
+    samples = [path.at(t) for t in points]
     # one segment's unit at a time: at n = 1024 each holds 32 MB
-    units = (conjugating_unit(inst, ce, cf, seg_tol) for ce, cf in zip(samples, samples[1:]))
+    units = (
+        neumann_inverse(inst, intertwiner(inst, e, f), seg_tol)
+        for e, f in zip(samples, samples[1:])
+    )
     first = next(units)
     u, u_inv = first.u, first.u_inv
     for unit in units:

@@ -40,12 +40,58 @@ def _cert(inst, e, tol=1e-9):
 # colimit norm bounds
 
 
+def _same_transfer(implicit, explicit):
+    """Same level, certificate entries and unit, and the same lifted idempotent."""
+    assert implicit.level == explicit.level
+    assert implicit.cert.entries == explicit.cert.entries
+    assert implicit.unit.cert.entries == explicit.unit.cert.entries
+    held = [(implicit.unit.u, explicit.unit.u), (implicit.unit.u_inv, explicit.unit.u_inv)]
+    if hasattr(implicit, "idempotent"):
+        held.append((implicit.idempotent.e, explicit.idempotent.e))
+    for got, want in held:
+        if isinstance(got, LimitElement):
+            assert got.tail_bound == want.tail_bound
+            got, want = got.representative, want.representative
+        assert np.array_equal(got, want)
+
+
 def test_default_eps_keeps_conjugation_feasible():
     assert default_eps(1.0) <= 0.01
     assert default_eps(100.0) > 0
     # the transfers take eps from the colimit norm bound, which adds the tail
     x = LimitElement(1, UHF4.levels[1].one(), 0.1)
     assert colim_norm_bound(UHF4, x) == pytest.approx(1.1)
+    # omitting eps gives the default passed explicitly, in both transfers;
+    # first the README's library example, an exact rank-2 projector at level 6
+    tower = make_uhf_tower(6)
+    e = conjugated_projector(tower.levels[6], 2, np.random.default_rng(0))
+    x = LimitElement(6, e, 0.0)
+    result = transfer_surjective(tower, x)
+    assert result.level == 6
+    assert level_class_key(tower, result.level, result.idempotent.e) == Fraction(1, 32)
+    assert result.cert.valid and result.unit.cert.valid
+    _same_transfer(result, transfer_surjective(tower, x, eps=default_eps(colim_norm_bound(tower, x))))
+    # an almost-idempotent with a tail, whose lift moves the representative
+    a, tail = _random_level_idempotent(UHF4, 2, np.random.default_rng(127), almost=True)
+    y = LimitElement(2, a, tail)
+    result = transfer_surjective(UHF4, y)
+    assert tail > 0 and result.idempotent.e is not a and result.cert.valid
+    _same_transfer(result, transfer_surjective(UHF4, y, eps=default_eps(colim_norm_bound(UHF4, y))))
+    # injective: default_eps(norm(e)), or twice the unit's tail where that is larger
+    inst = UHF4.levels[2]
+    e = np.diag([1, 0, 0, 0]).astype(complex)
+    f = np.diag([0, 1, 0, 0]).astype(complex)
+    swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
+    b_e = float(inst.norm(e))
+    for target, u, eps in [
+        (f, LimitElement(2, swap, 0.0), default_eps(b_e)),
+        (e, LimitElement(2, inst.one(), 0.008), 0.016),
+    ]:
+        assert eps == max(default_eps(b_e), 2 * u.tail_bound)
+        args = (UHF4, 2, _cert(inst, e), _cert(inst, target), u)
+        result = transfer_injective(*args)
+        assert result.level == 2 and result.cert.valid
+        _same_transfer(result, transfer_injective(*args, eps=eps))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from idemkit import homotopy
-from idemkit.calculus import certify_idempotent, certify_unit, conjugating_unit
+from idemkit.calculus import (
+    certify_idempotent,
+    certify_unit,
+    conjugating_unit,
+    intertwiner,
+    neumann_inverse,
+)
 from idemkit.errors import ConfigError, PathError
 from idemkit.homotopy import (
     IdempotentPath,
@@ -176,12 +182,15 @@ def test_trivialization_composes_segments_minus_one_pairs():
     unit = []
     total = _products(inst, lambda: unit.append(path_trivialize(path, tol=1e-8)))
     segments = int(unit[0].cert.entry("segments").lhs)
-    samples = [path.certified(t) for t in sorted(path._certified)]
+    samples = [path.at(t) for t in sorted(path._certified)]
     assert len(samples) == segments + 1 > 2
     seg_tol = 1e-8 / (100 * segments)
     units = _products(
         inst,
-        lambda: [conjugating_unit(inst, ce, cf, seg_tol) for ce, cf in zip(samples, samples[1:])],
+        lambda: [
+            neumann_inverse(inst, intertwiner(inst, e, f), seg_tol)
+            for e, f in zip(samples, samples[1:])
+        ],
     )
     # one e*e per sample, the segment units, segments - 1 composing pairs
     # and the four products of the final certificate
@@ -291,9 +300,9 @@ def _refine_by_full_passes(path):
 @pytest.mark.parametrize(
     "n, make, norms",
     [
-        pytest.param(2, rotation_path, 244, id="rotation2"),
-        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0), 67, id="random4-0"),
-        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0, spread=2), 442, id="random4-spread2"),
+        pytest.param(2, rotation_path, 164, id="rotation2"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0), 47, id="random4-0"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0, spread=2), 287, id="random4-spread2"),
     ],
 )
 def test_refinement_measures_each_point_and_gap_once(n, make, norms):
