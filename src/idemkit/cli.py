@@ -235,7 +235,7 @@ def _run_transfer(config: ExperimentConfig, report: dict) -> None:
 
 
 #: largest path-trivialize size: the path caches one n x n complex sample
-#: per segment end (17 on the rotation path), 16 MB each at n = 1024
+#: per segment end (13 on the rotation path), 16 MB each at n = 1024
 MAX_PATH_N = 1024
 
 #: largest norm-audit sample count: the audit writes 2 * (samples + 2)**2

@@ -1,14 +1,14 @@
 """Trivialization of idempotent paths by adaptive interval refinement.
 
 A path of idempotents in a matrix algebra, sampled on demand, is cut into
-segments short enough that adjacent samples are conjugate by proximity;
-the per-segment units compose into one global unit intertwining the two
-endpoints, which is the finite certificate behind the homotopy invariance
-of idempotent classes.  The refinement is adaptive (only segments that
-violate the proximity threshold are split) rather than uniform dyadic:
+segments whose adjacent samples are at most ``SEGMENT_GAP`` apart; the
+samples' intertwiners multiply into one global unit intertwining the two
+endpoints, and the reverse product, closed once by Newton-Schulz steps,
+inverts it.  That unit is the finite certificate behind the homotopy
+invariance of idempotent classes.  The refinement is adaptive (only
+segments whose gap exceeds the cap are split) rather than uniform dyadic:
 this is a deliberate reinterpretation of the usual nested-interval
-argument, chosen because it minimizes the number of unit compositions and
-with it the accumulated floating error.
+argument, chosen because it samples only where the path moves fast.
 
 Excision-style decompositions of the path ring itself have no finite model
 and are out of scope here; this module certifies class constancy along a
@@ -33,15 +33,14 @@ from .calculus import (
     certify_idempotent,
     certify_unit,
     intertwiner,
-    neumann_inverse,
 )
 from .core import AlgebraInstance
 from .errors import ConfigError, PathError
 from .instances import COMPLEX, MatrixAlgebra
 from .k0 import classify
 
-#: a segment is accepted when its conjugation bound stays below this margin
-SEGMENT_MARGIN = 0.5
+#: a segment is accepted when its two samples are at most this far apart
+SEGMENT_GAP = 0.25
 
 
 @dataclass
@@ -77,36 +76,26 @@ class IdempotentPath:
         return self._certified[t]
 
 
-def segment_threshold(max_norm: float) -> float:
-    """Largest adjacent-sample distance accepted by the refinement.
-
-    Solves ``2*B*g + g**2 = SEGMENT_MARGIN`` for the path's running norm
-    bound ``B``, keeping every accepted segment well inside the proximity
-    conjugation threshold.
-    """
-    b = float(max_norm)
-    return math.sqrt(b * b + SEGMENT_MARGIN) - b
-
-
 def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8) -> CertifiedUnit:
-    """Compose per-segment proximity conjugations into one global unit.
+    """One unit intertwining the path's endpoints, closed once.
 
-    Adaptively bisects until every adjacent pair of samples is within the
-    segment threshold, then certifies ``norm(e(0)*u - u*e(1)) <= tol``
-    together with the unit's residuals, the per-segment gaps, and the
-    segment-count bound ``2*ceil(L/threshold) + 2``.  Each segment's unit
-    is the intertwiner ``e*f + (1-e)*(1-f)`` of its two certified samples,
-    inverted by :func:`~idemkit.calculus.neumann_inverse`.  No segment gets
-    a certificate of its own: a gap ``g`` within the threshold keeps
-    ``norm(u - 1) <= 2*B*g + g**2 <= SEGMENT_MARGIN < 1``, so the threshold
-    is the one proximity check, ``neumann_inverse`` still refuses
-    ``norm(1 - u) >= 1``, and the composed unit's certificate is the one
-    check of the result.  The composition starts from the first segment's
-    unit, so ``k`` segments take ``k - 1`` composing products per side.
-    Raises :class:`PathError` for a negative ``max_depth`` or a hint that
-    is not finite, when some gap stays above threshold at depth
-    ``max_depth`` (the path is too wild for its hint) or when the hint
-    itself is violated.
+    Adaptively bisects until every adjacent pair of samples is at most
+    ``SEGMENT_GAP`` apart.  With the intertwiner ``v(e, f) = e*f +
+    (1-e)*(1-f)`` of two certified samples, ``e*v(e, f) = v(e, f)*f`` and
+    ``v(f, e)*v(e, f) = 1 - (e-f)**2``, so ``u = v(e_0, e_1)...v(e_{k-1},
+    e_k)`` intertwines the endpoints and the reverse product ``x =
+    v(e_k, e_{k-1})...v(e_1, e_0)`` is an approximate inverse.  Each
+    product starts from its first factor, so ``k`` segments take ``k - 1``
+    composing products per side.  Newton-Schulz steps ``x <- x*(2 - u*x)``
+    square ``1 - u*x``; they stop once ``norm(u*x - 1) <= tol/100`` or once
+    a step does not halve it, the rounding floor.  The gap cap only keeps
+    ``1 - u*x`` small enough for the steps to converge; the certificate is
+    the one check: ``norm(e(0)*u - u*e(1)) <= tol`` with both residuals of
+    ``x``, every segment's gap against ``SEGMENT_GAP`` and the segment-count
+    bound ``2*ceil(L/SEGMENT_GAP) + 2``.  Raises :class:`PathError` for a
+    negative ``max_depth`` or a hint that is not finite, when some gap stays
+    above ``SEGMENT_GAP`` at depth ``max_depth`` (the path is too wild for
+    its hint) or when the hint itself is violated.
     """
     if max_depth < 0:
         raise PathError("max_depth must be nonnegative")
@@ -114,9 +103,8 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     if not math.isfinite(L):
         raise PathError(f"the Lipschitz hint must be finite, got {L}")
     inst = path.instance
-    # each point's norm and each segment's gap, measured once
+    # each segment's gap, measured once
     points = [0.0, 1.0]
-    norms = [float(inst.norm(path.at(t))) for t in points]
     gaps = [float(inst.distance(path.at(0.0), path.at(1.0)))]
     fresh = [0]  # the segments whose gap no earlier depth checked against the hint
 
@@ -128,14 +116,13 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
                     f"path violates its Lipschitz hint on [{s}, {t}]: "
                     f"gap {gaps[k]} > {L} * {t - s}"
                 )
-        threshold = segment_threshold(max(norms))
-        bad = [k for k, gap in enumerate(gaps) if gap > threshold]
+        bad = [k for k, gap in enumerate(gaps) if gap > SEGMENT_GAP]
         if not bad:
             break
         if depth == max_depth:
             raise PathError(
                 f"path too wild for hint: {len(bad)} segment(s) above threshold "
-                f"{threshold} at depth {max_depth}"
+                f"{SEGMENT_GAP} at depth {max_depth}"
             )
         # split left to right, so the first sample to fail is the one a
         # pass over every point would meet first; each split moves the
@@ -147,35 +134,34 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
             m = (s + t) / 2
             e = path.at(m)
             points.insert(k + 1, m)
-            norms.insert(k + 1, float(inst.norm(e)))
             gaps[k : k + 1] = [
                 float(inst.distance(path.at(s), e)),
                 float(inst.distance(e, path.at(t))),
             ]
             fresh += [k, k + 1]
 
-    # the last pass's points, gaps and threshold are the accepted segmentation;
-    # composition can amplify per-segment residuals by the product of unit
-    # norms, so each segment's series is truncated two orders tighter
-    seg_tol = tol / (100 * len(gaps))
     samples = [path.at(t) for t in points]
-    # one segment's unit at a time: at n = 1024 each holds 32 MB
-    units = (
-        neumann_inverse(inst, intertwiner(inst, e, f), seg_tol)
-        for e, f in zip(samples, samples[1:])
-    )
-    first = next(units)
-    u, u_inv = first.u, first.u_inv
-    for unit in units:
-        u = inst.mul(u, unit.u)
-        u_inv = inst.mul(unit.u_inv, u_inv)
+    u = intertwiner(inst, samples[0], samples[1])
+    x = intertwiner(inst, samples[1], samples[0])
+    for e, f in zip(samples[1:], samples[2:]):
+        u = inst.mul(u, intertwiner(inst, e, f))
+        x = inst.mul(intertwiner(inst, f, e), x)
+    one = inst.one()
+    d = inst.sub(inst.mul(u, x), one)
+    residual = float(inst.norm(d))
+    while residual > tol / 100:
+        x = inst.sub(x, inst.mul(x, d))
+        d = inst.sub(inst.mul(u, x), one)
+        last, residual = residual, float(inst.norm(d))
+        if not residual < last / 2:  # the rounding floor (NaN included)
+            break
 
     cert = inst.certificate()
-    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, u_inv, tol, intertwine_rhs=tol)
-    cert.add("segments", len(gaps), 2 * math.ceil(L / threshold) + 2)
+    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, x, tol, intertwine_rhs=tol)
+    cert.add("segments", len(gaps), 2 * math.ceil(L / SEGMENT_GAP) + 2)
     for k, gap in enumerate(gaps):
-        cert.add(f"segment-gap[{k}]", gap, threshold)
-    return CertifiedUnit(u, u_inv, cert)
+        cert.add(f"segment-gap[{k}]", gap, SEGMENT_GAP)
+    return CertifiedUnit(u, x, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from idemkit import homotopy
-from idemkit.calculus import (
-    certify_idempotent,
-    certify_unit,
-    conjugating_unit,
-    intertwiner,
-    neumann_inverse,
-)
+from idemkit.calculus import certify_idempotent, certify_unit, intertwiner
 from idemkit.errors import ConfigError, PathError
 from idemkit.homotopy import (
     IdempotentPath,
@@ -20,7 +14,6 @@ from idemkit.homotopy import (
     homotopy_invariance_experiment,
     path_trivialize,
     rotation_path,
-    segment_threshold,
 )
 from idemkit.instances import COMPLEX, MatrixAlgebra
 from idemkit.k0 import classify
@@ -100,6 +93,9 @@ def test_composition_soundness_residuals():
     inst = MatrixAlgebra(COMPLEX, 3)
     assert inst.distance(inst.mul(unit.u, unit.u_inv), inst.one()) <= 1e-8
     assert inst.distance(inst.mul(unit.u_inv, unit.u), inst.one()) <= 1e-8
+    # the Newton-Schulz steps close u*x - 1 to tol/100, not just to tol
+    unit = path_trivialize(conjugation_path(M2, 1, seed=3, spread=2), tol=1e-8)
+    assert unit.cert.entry("residual-left").lhs <= 1e-10
 
 
 def test_segment_count_obeys_bisection_bound():
@@ -127,11 +123,6 @@ def test_each_sample_is_certified_once(monkeypatch):
 def test_negative_max_depth_rejected():
     with pytest.raises(PathError, match="max_depth"):
         path_trivialize(rotation_path(M2), max_depth=-1)
-
-
-def test_segment_threshold_decreases_with_norm():
-    assert segment_threshold(0.0) == pytest.approx(math.sqrt(0.5))
-    assert segment_threshold(2.0) < segment_threshold(1.0) < segment_threshold(0.5)
 
 
 def test_experiment_empty():
@@ -163,16 +154,14 @@ def _paths():
 def test_trivialization_equals_the_explicit_composition_from_one(path):
     unit = path_trivialize(path, tol=1e-8)
     inst, points = path.instance, sorted(path._certified)
-    seg_tol = 1e-8 / (100 * (len(points) - 1))
     samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
     assert [s.cert for s in samples] == [path.certified(t).cert for t in points]
-    u = u_inv = inst.one()
+    u = inst.one()
     for ce, cf in zip(samples, samples[1:]):
-        seg = conjugating_unit(inst, ce, cf, seg_tol)
-        u, u_inv = inst.mul(u, seg.u), inst.mul(seg.u_inv, u_inv)
-    assert np.array_equal(unit.u, u) and np.array_equal(unit.u_inv, u_inv)
+        u = inst.mul(u, intertwiner(inst, ce.e, cf.e))
+    assert np.array_equal(unit.u, u)
     cert = inst.certificate()
-    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, u_inv, 1e-8, intertwine_rhs=1e-8)
+    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, unit.u_inv, 1e-8, intertwine_rhs=1e-8)
     assert unit.cert.entries[: len(cert.entries)] == cert.entries
 
 
@@ -184,17 +173,47 @@ def test_trivialization_composes_segments_minus_one_pairs():
     segments = int(unit[0].cert.entry("segments").lhs)
     samples = [path.at(t) for t in sorted(path._certified)]
     assert len(samples) == segments + 1 > 2
-    seg_tol = 1e-8 / (100 * segments)
-    units = _products(
-        inst,
-        lambda: [
-            neumann_inverse(inst, intertwiner(inst, e, f), seg_tol)
-            for e, f in zip(samples, samples[1:])
-        ],
-    )
-    # one e*e per sample, the segment units, segments - 1 composing pairs
-    # and the four products of the final certificate
-    assert total == len(samples) + units + 2 * (segments - 1) + 4
+    # one e*e per sample, the two intertwiners of each segment, segments - 1
+    # composing pairs, the start residual u*x, two products in each of the
+    # three Newton-Schulz steps and the four products of the final certificate
+    steps = 3
+    assert total == len(samples) + 2 * segments + 2 * (segments - 1) + 1 + 2 * steps + 4
+
+
+def _sheared_rotation(inst):
+    """The rotation path conjugated by ``S = [[1, 10], [0, 1]]``, with the
+    rotation's hint ``2*pi`` times ``norm(S) * norm(S^-1) = 121``."""
+    s = np.array([[1.0, 10.0], [0.0, 1.0]], dtype=complex)
+    s_inv = np.linalg.inv(s)
+    rotation = rotation_path(inst).sampler
+    return IdempotentPath(inst, lambda t: s @ rotation(t) @ s_inv, lipschitz_hint=2 * math.pi * 121)
+
+
+@pytest.mark.parametrize(
+    "make, segments",
+    [
+        pytest.param(
+            lambda: conjugation_path(MatrixAlgebra(COMPLEX, 4), 2, seed=0, spread=10), 270, id="random4-spread10"
+        ),
+        pytest.param(lambda: _sheared_rotation(M2), 664, id="sheared-rotation"),
+    ],
+)
+def test_long_paths_trivialize_in_few_segments(make, segments):
+    unit = path_trivialize(make(), tol=1e-8)
+    assert unit.cert.valid
+    assert unit.cert.entry("segments").lhs == segments
+
+
+def test_newton_schulz_stops_at_the_rounding_floor():
+    inst = _CountingMatrices(2)
+    path = rotation_path(inst)
+    unit = []
+    total = _products(inst, lambda: unit.append(path_trivialize(path, tol=1e-300)))
+    cert = unit[0].cert
+    # no residual reaches tol/100, so only the halving rule ends the steps
+    assert cert.entry("residual-left").lhs > 1e-302
+    assert cert.valid
+    assert total == 76
 
 
 def test_experiment_classifies_the_samples_its_paths_certified(monkeypatch):
@@ -284,15 +303,14 @@ def test_path_trivialize_rejects_a_non_finite_hint_before_sampling(hint):
 
 
 def _refine_by_full_passes(path):
-    """The segmentation a pass over every point and gap at each depth
-    reaches: ``(points, gaps, threshold)``."""
+    """The segmentation a pass over every gap at each depth reaches:
+    ``(points, gaps)``."""
     inst, points = path.instance, [0.0, 1.0]
     while True:
-        threshold = segment_threshold(max(float(inst.norm(path.at(t))) for t in points))
         gaps = [float(inst.distance(path.at(s), path.at(t))) for s, t in zip(points, points[1:])]
-        bad = [k for k, gap in enumerate(gaps) if gap > threshold]
+        bad = [k for k, gap in enumerate(gaps) if gap > homotopy.SEGMENT_GAP]
         if not bad:
-            return points, gaps, threshold
+            return points, gaps
         for k in reversed(bad):
             points.insert(k + 1, (points[k] + points[k + 1]) / 2)
 
@@ -300,19 +318,19 @@ def _refine_by_full_passes(path):
 @pytest.mark.parametrize(
     "n, make, norms",
     [
-        pytest.param(2, rotation_path, 164, id="rotation2"),
-        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0), 47, id="random4-0"),
-        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0, spread=2), 287, id="random4-spread2"),
+        pytest.param(2, rotation_path, 44, id="rotation2"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0), 16, id="random4-0"),
+        pytest.param(4, lambda inst: conjugation_path(inst, 2, seed=0, spread=2), 46, id="random4-spread2"),
     ],
 )
 def test_refinement_measures_each_point_and_gap_once(n, make, norms):
     inst = _CountingMatrices(n)
     unit = path_trivialize(make(inst), tol=1e-8)
     assert inst.norm_calls == norms
-    points, gaps, threshold = _refine_by_full_passes(make(MatrixAlgebra(COMPLEX, n)))
+    points, gaps = _refine_by_full_passes(make(MatrixAlgebra(COMPLEX, n)))
     cert = inst.certificate()
     for k, gap in enumerate(gaps):
-        cert.add(f"segment-gap[{k}]", gap, threshold)
+        cert.add(f"segment-gap[{k}]", gap, homotopy.SEGMENT_GAP)
     assert unit.cert.entry("segments").lhs == len(points) - 1
     assert unit.cert.entries[-len(gaps):] == cert.entries
 

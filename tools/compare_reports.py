@@ -51,10 +51,11 @@ DEFAULT_EXTRAS = [
     ["transfer", "--tower", '{"kind":"cantor","depth":12}', "--direction", "sur", "--trials", "100"],
     ["transfer", "--tower", '{"kind":"uhf","depth":8}', "--direction", "sur", "--trials", "8"],
     ["path-trivialize", "--n", "4", "--path", "random"],
-    # a 16-segment rotation path at segment tolerance 6.25e-16, and a
-    # random path at n = 16
+    # a 12-segment rotation path closed to 1e-14, a random path at n = 16,
+    # and a tolerance that only the Newton-Schulz rounding floor ends
     ["path-trivialize", "--n", "3", "--path", "rotation", "--tol", "1e-12"],
     ["path-trivialize", "--n", "16", "--path", "random", "--tol", "1e-10"],
+    ["path-trivialize", "--n", "2", "--path", "rotation", "--tol", "1e-300"],
     ["k0", "--instance", '{"kind":"matrix","n":8}'],
     # the scalar and grid routes of k0 (the grid-gap entry), which no
     # README command takes
