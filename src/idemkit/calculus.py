@@ -36,6 +36,8 @@ import sys
 from fractions import Fraction
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from .core import AlgebraInstance, Certificate
 from .errors import PreconditionError, SeriesTruncationError
 
@@ -43,6 +45,9 @@ SERIES_HARD_CAP = 10_000
 #: factors ``1 + d**(2**i)`` covering the first ``SERIES_HARD_CAP`` terms
 _NEUMANN_FACTOR_CAP = SERIES_HARD_CAP.bit_length()
 NEWTON_STEP_CAP = 64
+#: bytes of the row chunk in which a printed-series block sum of array
+#: elements adds all its scaled powers, so that the chunk stays in cache
+BLOCK_SUM_CHUNK_BYTES = 2**18
 
 
 class CertifiedUnit(NamedTuple):
@@ -213,14 +218,24 @@ def conjugation_threshold(e_norm) -> float:
 
 
 def certify_unit(
-    instance: AlgebraInstance, cert: Certificate, e, f, u, u_inv, tol: float, intertwine_rhs=None
+    instance: AlgebraInstance,
+    cert: Certificate,
+    e,
+    f,
+    u,
+    u_inv,
+    tol: float,
+    intertwine_rhs=None,
+    residual_left=None,
 ) -> None:
     """Record that ``u`` conjugates ``e`` to ``f`` and that ``u_inv`` inverts it.
 
     Adds ``intertwine``, ``norm(e*u - u*f)`` against ``intertwine_rhs``
     (default ``tol * (1 + norm(e) + norm(f))``), then, unless ``u_inv`` is
     None, ``residual-left`` and ``residual-right``, ``norm(u*u_inv - 1)``
-    and ``norm(u_inv*u - 1)`` against ``tol``.
+    and ``norm(u_inv*u - 1)`` against ``tol``; a caller that has already
+    measured ``norm(u*u_inv - 1)`` passes it as ``residual_left``, and then
+    that product is not formed.
     """
     if intertwine_rhs is None:
         intertwine_rhs = tol * (1 + float(instance.norm(e)) + float(instance.norm(f)))
@@ -231,7 +246,9 @@ def certify_unit(
     )
     if u_inv is not None:
         one = instance.one()
-        cert.add("residual-left", instance.distance(instance.mul(u, u_inv), one), tol)
+        if residual_left is None:
+            residual_left = instance.distance(instance.mul(u, u_inv), one)
+        cert.add("residual-left", residual_left, tol)
         cert.add("residual-right", instance.distance(instance.mul(u_inv, u), one), tol)
 
 
@@ -315,8 +332,11 @@ def _paterson_stockmeyer(instance: AlgebraInstance, s, coefficients):
     ``sum_{i=1..p} coefficients[k + i - 1] * s**i``, ``k = 0, p, 2p, ...``:
     ``ceil(N / p) - 1`` products (Paterson and Stockmeyer, SIAM J. Comput.
     2, 1973).  Each block is accumulated in place: one scaled add per
-    coefficient into the block's sum, not a new sum per coefficient.  Exact
-    instances keep integer coefficients.
+    coefficient into the block's sum, not a new sum per coefficient.  An
+    array element takes those adds one row chunk of
+    ``BLOCK_SUM_CHUNK_BYTES`` at a time, every coefficient of the block
+    into one chunk before the next: each entry gets the same operations in
+    the same order.  Exact instances keep integer coefficients.
     """
     degree = len(coefficients)
     p = math.isqrt(degree)
@@ -330,10 +350,18 @@ def _paterson_stockmeyer(instance: AlgebraInstance, s, coefficients):
             acc = instance.int_scale(*next(block))
         else:
             acc = instance.mul(acc, powers[-1])
-        for c, w in block:
-            # int_scale and add of the entrywise ring structure, into the
-            # array this loop owns
-            acc += c * w
+        # int_scale and add of the entrywise ring structure, into the array
+        # this loop owns
+        if np.ndim(acc):
+            block = list(block)
+            rows = max(1, BLOCK_SUM_CHUNK_BYTES // acc[0].nbytes)
+            for r in range(0, len(acc), rows):
+                chunk = acc[r : r + rows]
+                for c, w in block:
+                    chunk += c * w[r : r + rows]
+        else:
+            for c, w in block:
+                acc += c * w
     return acc
 
 

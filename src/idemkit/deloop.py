@@ -10,10 +10,12 @@ that at any finite truncation the two-sided span of that corner is
 everything, which is exactly why the delooped class is invisible at every
 finite level; and the swindle conjugator is the even/odd interleaving
 bijection whose conjugation identity forces additive invariants of the full
-operator ring to vanish.  The swindle's operators are shifts with one unit
-entry per column, so its check runs on int32 index arrays rather than on
-operators, walking the columns in fixed blocks so that its working set
-stays near 1 MB up to the 2**16 support cap.
+operator ring to vanish.  The operators of both checks have one entry per
+column, so both run on int32 index arrays rather than on operators: the
+swindle's shifts walk the columns in blocks of ``SWINDLE_BLOCK``, so that
+its working set stays near 1 MB up to the 2**16 support cap, and the
+collapse's single-entry pairs form their values in batched inner products,
+walking them in blocks of ``COLLAPSE_BLOCK`` inner entries.
 
 Whether the column norm agrees with the sup-ratio operator norm for every
 inner instance is not assumed (it does when the inner norm is attained on
@@ -159,23 +161,119 @@ class CollapseCertificate:
         return tuple(_collapse_pairs(self.n, self.inner))
 
 
+def _collapse_positions(k):
+    """Rows and columns ``((a_rows, a_cols), (b_rows, b_cols))`` of the
+    pairs ``a_k = E_{k0}`` and ``b_k = E_{0k}``, for an int array ``k``."""
+    zero = np.zeros_like(k)
+    return (k, zero), (zero, k)
+
+
 def _collapse_pairs(n: int, inner: AlgebraInstance):
-    for k in range(n):
-        yield EndOperator.matrix_unit(inner, k, 0), EndOperator.matrix_unit(inner, 0, k)
+    (a_rows, a_cols), (b_rows, b_cols) = (
+        (rows.tolist(), cols.tolist()) for rows, cols in _collapse_positions(np.arange(n))
+    )
+    for a_row, a_col, b_row, b_col in zip(a_rows, a_cols, b_rows, b_cols):
+        yield EndOperator.matrix_unit(inner, a_row, a_col), EndOperator.matrix_unit(inner, b_row, b_col)
+
+
+#: inner entries per block of values in the collapse check
+COLLAPSE_BLOCK = 2**16
+
+
+def _filled(value, size: int, dtype):
+    """A batch of ``size`` copies of the element ``value``, in its own shape."""
+    out = np.empty((size,) + np.shape(value), dtype)
+    out[...] = value
+    return out
+
+
+def _run_sums(add, values, starts):
+    """Sum of each run of ``values`` from one of ``starts`` to the next (the
+    last to the end), added left to right by ``add``: one batched call per
+    place within a run."""
+    sizes = np.diff(np.r_[starts, len(values)])
+    sums = values[starts]
+    for place in range(1, sizes.max()):
+        g = np.flatnonzero(sizes > place)
+        sums[g] = add(sums[g], values[starts[g] + place])
+    return sums
+
+
+def _collapse_residual_norm(n: int, inner: AlgebraInstance, corner: EndOperator) -> NormValue:
+    """``end_norm(sum_k a_k * corner * b_k - 1_n)``, on index arrays.
+
+    The pairs and the corner are batches of single-entry operators.  The
+    term ``a_k * corner * b_k`` has its entry at the row of ``a_k`` and the
+    column of ``b_k`` where the factors meet: the column of ``a_k`` is the
+    corner's row, and the corner's column is the row of ``b_k``.  Its value
+    is the product of the three values, two batched ``inner.mul`` calls.
+    The terms are merged with the negated identity by (column, row), the
+    identity first in each group, and each group is summed through
+    ``inner.add``; groups of norm 0 are dropped, and the rest give the
+    column sums of norms.  So nothing is assumed of the pairs: a wrong
+    position or value leaves a group behind.
+
+    Only the int positions span all ``2n`` entries.  The values are walked
+    in blocks of whole groups, one starting at the first group at or after
+    each multiple of ``COLLAPSE_BLOCK`` inner entries (counted in the shape
+    of ``inner.one()``), so that the values held stay near one block.
+    """
+    [(corner_col, ((corner_row, corner_val),))] = corner.columns.items()
+    k = np.arange(n, dtype=np.int32)
+    (a_rows, a_cols), (b_rows, b_cols) = _collapse_positions(k)
+    meet = (a_cols == corner_row) & (b_rows == corner_col)
+    # the identity's entries first, on the diagonal, then the terms in order
+    rows = np.concatenate([k, a_rows[meet]])
+    cols = np.concatenate([k, b_cols[meet]])
+    order = np.lexsort((rows, cols))  # stable, so the identity entry leads its group
+    rows, cols, is_term = rows[order], cols[order], order >= n
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+
+    one = inner.one()
+    step = max(1, COLLAPSE_BLOCK // np.size(one))
+    edges = np.r_[starts, rows.size]
+    # a group starting in [m * step, (m + 1) * step) belongs to block m
+    cuts = np.r_[np.flatnonzero(np.diff(starts // step, prepend=-1)), starts.size]
+    kept_cols, kept_norms = [], []
+    for g0, g1 in zip(cuts[:-1], cuts[1:]):
+        p, q = edges[g0], edges[g1]
+        values = _filled(one, q - p, inner.dtype)
+        term = is_term[p:q]
+        ones = values[term]
+        corners = _filled(corner_val, len(ones), inner.dtype)
+        values[term] = inner.mul(inner.mul(ones, corners), ones)
+        values[~term] = inner.neg(values[~term])
+        groups = starts[g0:g1]
+        norms = inner.norms(_run_sums(inner.add, values, groups - p))
+        kept = norms != 0
+        kept_cols.append(cols[groups[kept]])
+        kept_norms.append(norms[kept])
+    cols, norms = np.concatenate(kept_cols), np.concatenate(kept_norms)
+    if not cols.size:
+        return 0  # end_norm of the zero operator
+    # each column sum runs down its rows from 0, as end_norm adds them
+    column_starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    return max(_run_sums(np.add, norms, column_starts).tolist())
 
 
 def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None) -> CollapseCertificate:
-    """Check ``sum_k E_{k0} e E_{0k} = 1_n`` exactly, for ``n`` up to the swindle's ``2**16``;
-    ``n`` inner elements may hold at most ``MAX_ELEMENT_ENTRIES`` entries in all."""
+    """Check ``sum_k E_{k0} e E_{0k} = 1_n`` exactly, for ``n`` up to the swindle's ``2**16``.
+
+    ``collapse-identity`` is the column norm of ``sum_k E_{k0} e E_{0k} -
+    1_n``, formed on int index arrays by :func:`_collapse_residual_norm`:
+    two batched inner products per block of ``COLLAPSE_BLOCK`` inner
+    entries, and no operator composition.  ``corner-norm`` is the norm of
+    ``e`` against that of the inner unit.  The ``2n`` products of inner
+    elements may hold at most ``MAX_ELEMENT_ENTRIES`` entries in all.
+    """
     if not 1 <= n <= 2**16:
         raise ConfigError("truncation size must be between 1 and 2**16")
     inner = COMPLEX if inner is None else inner
     if n * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
         raise ConfigError(f"truncation size {n} would hold over {MAX_ELEMENT_ENTRIES} inner entries")
     e = CornerIdempotent(0).as_operator(inner)
-    terms = (a_k.compose(e).compose(b_k) for a_k, b_k in _collapse_pairs(n, inner))
     cert = Certificate(slack=0.0)
-    cert.add("collapse-identity", end_norm(EndOperator.identity(inner, n).neg().add(*terms)), 0)
+    cert.add("collapse-identity", _collapse_residual_norm(n, inner, e), 0)
     cert.add("corner-norm", end_norm(e), inner.norm(inner.one()))
     return CollapseCertificate(n=n, inner=inner, cert=cert)
 

@@ -91,8 +91,9 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     a step does not halve it, the rounding floor.  The gap cap only keeps
     ``1 - u*x`` small enough for the steps to converge; the certificate is
     the one check: ``norm(e(0)*u - u*e(1)) <= tol`` with both residuals of
-    ``x``, every segment's gap against ``SEGMENT_GAP`` and the segment-count
-    bound ``2*ceil(L/SEGMENT_GAP) + 2``.  Raises :class:`PathError` for a
+    ``x`` (the left one as the last step measured it), every segment's gap
+    against ``SEGMENT_GAP`` and the segment-count bound
+    ``2*ceil(L/SEGMENT_GAP) + 2``.  Raises :class:`PathError` for a
     negative ``max_depth`` or a hint that is not finite, when some gap stays
     above ``SEGMENT_GAP`` at depth ``max_depth`` (the path is too wild for
     its hint) or when the hint itself is violated.
@@ -148,16 +149,18 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
         x = inst.mul(intertwiner(inst, f, e), x)
     one = inst.one()
     d = inst.sub(inst.mul(u, x), one)
-    residual = float(inst.norm(d))
+    residual = inst.norm(d)
     while residual > tol / 100:
         x = inst.sub(x, inst.mul(x, d))
         d = inst.sub(inst.mul(u, x), one)
-        last, residual = residual, float(inst.norm(d))
+        last, residual = residual, inst.norm(d)
         if not residual < last / 2:  # the rounding floor (NaN included)
             break
 
     cert = inst.certificate()
-    certify_unit(inst, cert, path.at(0.0), path.at(1.0), u, x, tol, intertwine_rhs=tol)
+    certify_unit(
+        inst, cert, path.at(0.0), path.at(1.0), u, x, tol, intertwine_rhs=tol, residual_left=residual
+    )
     cert.add("segments", len(gaps), 2 * math.ceil(L / SEGMENT_GAP) + 2)
     for k, gap in enumerate(gaps):
         cert.add(f"segment-gap[{k}]", gap, SEGMENT_GAP)

@@ -683,6 +683,43 @@ def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances():
     assert all(type(v) is int for v in value.flat)
 
 
+def _whole_array_paterson_stockmeyer(instance, s, coefficients):
+    """The printed-series sum with each block's scaled adds over the whole
+    array, as before they went one row chunk at a time."""
+    degree = len(coefficients)
+    p = math.isqrt(degree)
+    powers = [s]
+    for _ in range(1, p):
+        powers.append(instance.mul(powers[-1], s))
+    acc = None
+    for start in range((degree - 1) // p * p, -1, -p):
+        block = zip(coefficients[start : start + p], powers)
+        if acc is None:
+            acc = instance.int_scale(*next(block))
+        else:
+            acc = instance.mul(acc, powers[-1])
+        for c, w in block:
+            acc += c * w
+    return acc
+
+
+@pytest.mark.parametrize("inner", [COMPLEX, ScaledIntegers()], ids=["complex", "integers"])
+def test_block_sums_in_row_chunks_equal_the_whole_array_loop(inner, monkeypatch):
+    inst = MatrixAlgebra(inner, 7)
+    s = inst.random_element(np.random.default_rng(89))
+    coefficients = [printed_coefficient(k) for k in range(1, 12)]
+    expected = _whole_array_paterson_stockmeyer(inst, s, coefficients)
+    # chunks of 3, 3 and 1 rows
+    monkeypatch.setattr(calculus, "BLOCK_SUM_CHUNK_BYTES", 3 * s[0].nbytes)
+    value = calculus._paterson_stockmeyer(inst, s, coefficients)
+    assert value.dtype == expected.dtype
+    if inner.exact:
+        assert value.tolist() == expected.tolist()
+        assert all(type(v) is int for v in value.flat)
+    else:
+        assert value.tobytes() == expected.tobytes()
+
+
 def test_neumann_factor_cap():
     # norm(d**(2**f)) = 0.9999**(2**f) falls below 1e-13 only at f = 19
     with pytest.raises(SeriesTruncationError, match="14 factors"):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from idemkit import deloop
-from idemkit.core import ScaledIntegers
+from idemkit.core import Certificate, ScaledIntegers
 from idemkit.deloop import (
     CornerIdempotent,
     EndOperator,
+    _collapse_positions,
     _dyadic_pair,
     _dyadic_unpair,
     end_norm,
@@ -164,7 +165,8 @@ class _CountingComplex(ComplexScalars):
 
 
 @pytest.mark.parametrize("n", [1, 3, 1024])
-def test_collapse_makes_two_products_per_index(n, monkeypatch):
+def test_collapse_composes_no_operators_and_makes_two_batched_products(n, monkeypatch):
+    # the operator composition made 2n compositions of one product each
     composes = 0
     compose = EndOperator.compose
 
@@ -176,8 +178,101 @@ def test_collapse_makes_two_products_per_index(n, monkeypatch):
     monkeypatch.setattr(EndOperator, "compose", counted)
     inner = _CountingComplex()
     assert finite_collapse_certificate(n, inner).valid
-    assert composes == 2 * n
-    assert inner.muls == 2 * n
+    assert composes == 0
+    assert inner.muls == 2
+
+
+def _operator_collapse_cert(n, inner):
+    """The collapse certificate from 2n operator compositions merged with
+    the negated identity, as the check formed it before it ran on index
+    arrays.  It builds its pairs with the module's functions, so a patched
+    pairing reaches it too."""
+    e = CornerIdempotent(0).as_operator(inner)
+    terms = (a_k.compose(e).compose(b_k) for a_k, b_k in deloop._collapse_pairs(n, inner))
+    cert = Certificate(slack=0.0)
+    cert.add("collapse-identity", end_norm(EndOperator.identity(inner, n).neg().add(*terms)), 0)
+    cert.add("corner-norm", end_norm(e), inner.norm(inner.one()))
+    return cert
+
+
+def _assert_same_cert(cert, oracle):
+    assert cert.entries == oracle.entries
+    assert [type(e.lhs) for e in cert.entries] == [type(e.lhs) for e in oracle.entries]
+
+
+COLLAPSE_INNERS = [COMPLEX, ScaledIntegers(1), ScaledIntegers("1/2"), MatrixAlgebra(COMPLEX, 2)]
+COLLAPSE_IDS = ["complex", "r=1", "r=1/2", "matrix-2"]
+
+
+@pytest.mark.parametrize("inner", COLLAPSE_INNERS, ids=COLLAPSE_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 1024])
+def test_collapse_equals_the_operator_composition(n, inner):
+    cc = finite_collapse_certificate(n, inner)
+    _assert_same_cert(cc.cert, _operator_collapse_cert(n, inner))
+    assert cc.cert.entry("collapse-identity").lhs == 0
+    assert type(cc.cert.entry("collapse-identity").lhs) is int
+
+
+def _shifted_rows(k):
+    # E_{k0} -> E_{(k+1) mod n, 0}: every column keeps -1 and gains a 1 below
+    (a_rows, a_cols), b = _collapse_positions(k)
+    return ((a_rows + 1) % k.size, a_cols), b
+
+
+def _all_at_the_corner(k):
+    # every term lands on (0, 0): one group of n + 1 entries
+    (_, a_cols), (b_rows, _) = _collapse_positions(k)
+    return (np.zeros_like(k), a_cols), (b_rows, np.zeros_like(k))
+
+
+def _all_in_column_zero(k):
+    # every term lands in column 0: its column sum differs from every row's
+    a, (b_rows, _) = _collapse_positions(k)
+    return a, (b_rows, np.zeros_like(k))
+
+
+def _odd_terms_missing(k):
+    # b_k's row misses the corner's column for odd k, so those terms vanish
+    a, (b_rows, b_cols) = _collapse_positions(k)
+    return a, (b_rows + k % 2, b_cols)
+
+
+@pytest.mark.parametrize("inner", COLLAPSE_INNERS, ids=COLLAPSE_IDS)
+@pytest.mark.parametrize(
+    "wrong", [_shifted_rows, _all_at_the_corner, _all_in_column_zero, _odd_terms_missing]
+)
+@pytest.mark.parametrize("block", [deloop.COLLAPSE_BLOCK, 4])
+def test_a_wrong_pairing_gives_the_operator_compositions_lhs(wrong, inner, block, monkeypatch):
+    # a block of 4 inner entries splits the 2n = 14 merged entries into
+    # several blocks (one 2 x 2 matrix each over the matrices), and the
+    # corner group of n + 1 entries overruns its block
+    monkeypatch.setattr(deloop, "_collapse_positions", wrong)
+    monkeypatch.setattr(deloop, "COLLAPSE_BLOCK", block)
+    cc = finite_collapse_certificate(7, inner)
+    oracle = _operator_collapse_cert(7, inner)
+    _assert_same_cert(cc.cert, oracle)
+    assert oracle.entry("collapse-identity").lhs > 0
+    assert not cc.valid
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 1024])
+def test_blocked_collapse_equals_the_operator_composition(n, monkeypatch):
+    monkeypatch.setattr(deloop, "COLLAPSE_BLOCK", 8)
+    for inner in COLLAPSE_INNERS:
+        _assert_same_cert(finite_collapse_certificate(n, inner).cert, _operator_collapse_cert(n, inner))
+
+
+def test_collapse_peaks_near_one_block_over_wide_matrices():
+    # the operator composition peaked at 129 MB here, holding all n terms
+    inner = MatrixAlgebra(COMPLEX, 64)
+    tracemalloc.start()
+    try:
+        cc = finite_collapse_certificate(256, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cc.valid
+    assert peak < 8 * 2**20
 
 
 class _WideComplex(ComplexScalars):

@@ -67,6 +67,9 @@ DEFAULT_EXTRAS = [
     # the largest collapse, and one over a non-scalar inner instance
     ["collapse", "--n", "65536"],
     ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
+    # the exact collapses: ``int`` norms, and ``Fraction`` norms
+    ["collapse", "--n", "8", "--instance", '{"kind":"scaled-integers"}'],
+    ["collapse", "--n", "8", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
     # norm audits the README leaves out: complex scalars (norm ``abs``), a
     # norm that reads more than magnitudes, and ``Fraction`` norms
     ["norm-audit"],
