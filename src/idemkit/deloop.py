@@ -173,7 +173,8 @@ def _collapse_pairs(n: int, inner: AlgebraInstance):
         (rows.tolist(), cols.tolist()) for rows, cols in _collapse_positions(np.arange(n))
     )
     for a_row, a_col, b_row, b_col in zip(a_rows, a_cols, b_rows, b_cols):
-        yield EndOperator.matrix_unit(inner, a_row, a_col), EndOperator.matrix_unit(inner, b_row, b_col)
+        a_k = EndOperator.matrix_unit(inner, a_row, a_col)
+        yield a_k, EndOperator.matrix_unit(inner, b_row, b_col)
 
 
 #: inner entries per block of values in the collapse check

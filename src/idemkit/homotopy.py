@@ -158,9 +158,8 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
             break
 
     cert = inst.certificate()
-    certify_unit(
-        inst, cert, path.at(0.0), path.at(1.0), u, x, tol, intertwine_rhs=tol, residual_left=residual
-    )
+    e0, e1 = path.at(0.0), path.at(1.0)
+    certify_unit(inst, cert, e0, e1, u, x, tol, intertwine_rhs=tol, residual_left=residual)
     cert.add("segments", len(gaps), 2 * math.ceil(L / SEGMENT_GAP) + 2)
     for k, gap in enumerate(gaps):
         cert.add(f"segment-gap[{k}]", gap, SEGMENT_GAP)
