@@ -2,10 +2,11 @@
 
 The inverse of an element close to 1 is a truncated geometric series with a
 certified tail, evaluated as a product of ``1 + d**(2**i)`` factors; an
-almost-idempotent is polished to a true idempotent.  Both loops stop on the
+almost-idempotent is polished to a true idempotent.  All three series loops
+(the geometric series, the Newton lift and the printed series) stop on the
 norms of the powers and iterates they compute anyway, which at desk scale
 fall far faster than the a-priori scalar bounds; those bounds still cap
-the loops, so neither ever takes more products than the a-priori count.
+the loops, so none ever takes more products than the a-priori count.
 Two lift variants are shipped:
 
 * ``"corrected"`` is the series with a ``(2a - 1)`` prefactor, which sums to
@@ -30,6 +31,7 @@ that :func:`scalar_lift_rational` sums.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -227,6 +229,7 @@ def certify_unit(
     tol: float,
     intertwine_rhs=None,
     residual_left=None,
+    residual_right=None,
 ) -> None:
     """Record that ``u`` conjugates ``e`` to ``f`` and that ``u_inv`` inverts it.
 
@@ -234,8 +237,9 @@ def certify_unit(
     (default ``tol * (1 + norm(e) + norm(f))``), then, unless ``u_inv`` is
     None, ``residual-left`` and ``residual-right``, ``norm(u*u_inv - 1)``
     and ``norm(u_inv*u - 1)`` against ``tol``; a caller that has already
-    measured ``norm(u*u_inv - 1)`` passes it as ``residual_left``, and then
-    that product is not formed.
+    measured ``norm(u*u_inv - 1)`` or ``norm(u_inv*u - 1)`` passes it as
+    ``residual_left`` or ``residual_right``, and then that product is not
+    formed.
     """
     if intertwine_rhs is None:
         intertwine_rhs = tol * (1 + float(instance.norm(e)) + float(instance.norm(f)))
@@ -249,7 +253,9 @@ def certify_unit(
         if residual_left is None:
             residual_left = instance.distance(instance.mul(u, u_inv), one)
         cert.add("residual-left", residual_left, tol)
-        cert.add("residual-right", instance.distance(instance.mul(u_inv, u), one), tol)
+        if residual_right is None:
+            residual_right = instance.distance(instance.mul(u_inv, u), one)
+        cert.add("residual-right", residual_right, tol)
 
 
 def conjugating_unit(
@@ -293,12 +299,20 @@ def conjugating_unit(
 def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float):
     """Truncated ``sum_{n>=1} coefficient(n) * s**n`` with a certified tail.
 
-    Stops at the smallest ``N`` whose first omitted term bound, divided by
-    ``1 - 4t``, is at most ``tol`` (the term bounds decay at least
-    geometrically with ratio ``4t``); ``N`` is chosen from scalars before
-    any product.  Returns ``(value, tail_bound)``.  Raises
-    :class:`SeriesTruncationError` past ``SERIES_HARD_CAP`` terms or once a
-    coefficient no longer fits in a float.
+    Both coefficient sequences grow by a ratio below 4.  So the a-priori
+    length ``N0`` is the smallest ``N`` whose first omitted term bound,
+    divided by ``1 - 4t``, is at most ``tol``; it is chosen from scalars
+    before any product, and :class:`SeriesTruncationError` is raised past
+    ``SERIES_HARD_CAP`` terms or once a coefficient no longer fits in a
+    float.  ``N0`` caps the series.  The powers that Paterson-Stockmeyer
+    needs are then formed one product at a time and measured: ``r_k`` is
+    ``norm(s**k)``, or ``r_(k-1) * t`` where that is smaller, rounded up to
+    the smallest normal float.  After each power the series takes the
+    smallest ``N`` below its current length whose
+    :func:`_measured_tail_bound` is at most ``tol``, and powers are formed
+    until there are ``isqrt(N)`` of them.  Returns ``(value, tail_bound)``:
+    the measured bound that chose ``N``, or, when no measured ``N`` is
+    shorter than ``N0``, the a-priori bound and the ``N0``-term series.
     """
     if t == 0:
         return instance.zero(), 0.0
@@ -320,29 +334,63 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
         if next_bound / (1 - 4 * t) <= tol:
             break
         term_bound = next_bound
+    tail = next_bound / (1 - 4 * t)
+    powers, r = [s], [1.0, t]
+    while len(powers) < math.isqrt(n):
+        powers.append(instance.mul(powers[-1], s))
+        # capped first, so that a NaN norm leaves the a-priori bound
+        r.append(max(min(r[-1] * t, float(instance.norm(powers[-1]))), sys.float_info.min))
+        shorter = 1 + bisect.bisect_left(
+            range(1, n), True, key=lambda m: _measured_tail_bound(coefficient, r, m) <= tol
+        )
+        if shorter < n:
+            n, tail = shorter, _measured_tail_bound(coefficient, r, shorter)
     coefficients = [coefficient(k) for k in range(1, n + 1)]
-    return _paterson_stockmeyer(instance, s, coefficients), next_bound / (1 - 4 * t)
+    return _paterson_stockmeyer(instance, powers, coefficients), tail
 
 
-def _paterson_stockmeyer(instance: AlgebraInstance, s, coefficients):
-    """``sum_{n=1..N} coefficients[n - 1] * s**n`` in about ``2 * sqrt(N)`` products.
+def _measured_tail_bound(coefficient, r, n: int) -> float:
+    """Bound on ``norm(sum_{m>n} coefficient(m) * s**m)`` from bounds
+    ``r[j]`` on ``norm(s**j)``, ``j <= k = len(r) - 1``, with ``r[0] = 1``.
 
-    With ``p = isqrt(N)``: ``p - 1`` products for the powers ``s .. s**p``,
-    then Horner in ``s**p`` over the blocks
-    ``sum_{i=1..p} coefficients[k + i - 1] * s**i``, ``k = 0, p, 2p, ...``:
-    ``ceil(N / p) - 1`` products (Paterson and Stockmeyer, SIAM J. Comput.
-    2, 1973).  Each block is accumulated in place: one scaled add per
+    Submultiplicativity gives ``norm(s**m) <= r[k]**(m // k) * r[m % k]``,
+    and the coefficients grow by a ratio below 4, so
+    ``|coefficient(m + k)| < 4**k * |coefficient(m)|``.  Whenever
+    ``4**k * r[k] < 1`` the tail is therefore at most
+    ``sum_{m=n+1..n+k} |coefficient(m)| * r[k]**(m // k) * r[m % k]``
+    over ``1 - 4**k * r[k]`` (the measured-norm bound of Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009); otherwise it is ``inf``.
+    The terms are summed from logarithms, since a coefficient may pass the
+    float range where a power of ``r[k]`` underflows.  Decreasing in ``n``.
+    """
+    k = len(r) - 1
+    ratio = 4**k * r[k]
+    if not ratio < 1:
+        return math.inf
+    log_r = [math.log(x) for x in r]
+    terms = (
+        math.exp(math.log(abs(coefficient(m))) + m // k * log_r[k] + log_r[m % k])
+        for m in range(n + 1, n + k + 1)
+    )
+    return math.fsum(terms) / (1 - ratio)
+
+
+def _paterson_stockmeyer(instance: AlgebraInstance, powers, coefficients):
+    """``sum_{n=1..N} coefficients[n - 1] * s**n`` in ``ceil(N / p) - 1``
+    products, given ``powers = [s, s**2, .., s**p]``.
+
+    Horner in ``s**p`` over the blocks
+    ``sum_{i=1..p} coefficients[k + i - 1] * s**i``, ``k = 0, p, 2p, ...``;
+    with ``p = isqrt(N)`` the powers take ``p - 1`` products more, about
+    ``2 * sqrt(N)`` in all (Paterson and Stockmeyer, SIAM J. Comput. 2,
+    1973).  Each block is accumulated in place: one scaled add per
     coefficient into the block's sum, not a new sum per coefficient.  An
     array element takes those adds one row chunk of
     ``BLOCK_SUM_CHUNK_BYTES`` at a time, every coefficient of the block
     into one chunk before the next: each entry gets the same operations in
     the same order.  Exact instances keep integer coefficients.
     """
-    degree = len(coefficients)
-    p = math.isqrt(degree)
-    powers = [s]
-    for _ in range(1, p):
-        powers.append(instance.mul(powers[-1], s))
+    degree, p = len(coefficients), len(powers)
     acc = None
     for start in range((degree - 1) // p * p, -1, -p):
         block = zip(coefficients[start : start + p], powers)
@@ -429,7 +477,9 @@ def lift_idempotent(
       Promises ``norm(e*e - e) <= tol``, commutation with ``a``, and
       ``norm(e - a) <= norm(2a - 1) * ((1 - 4t)**-0.5 - 1) / 2``.
     * ``"printed"``: ``e = a - sum_n printed_coefficient(n) * s**n``,
-      truncated once the geometric tail (ratio ``4t``) drops below ``tol``.
+      truncated once a tail bound drops below ``tol``: the geometric tail
+      (ratio ``4t``), or one from the measured norms of the powers of ``s``
+      where that is shorter (see :func:`_series_sum`).
       The measured defect is recorded against ``tol`` but generally fails;
       the certificate is the evidence.
 
@@ -439,8 +489,6 @@ def lift_idempotent(
     recorded as advisory, and downstream acceptance keys on the
     prefactor-aware bound only.
     """
-    if variant not in ("printed", "corrected"):
-        raise PreconditionError(f"unknown lift variant {variant!r}")
     return _lift(instance, a, instance.mul(a, a), variant, tol)[0]
 
 
@@ -453,6 +501,8 @@ def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float, defect=N
     ``ea`` is the product ``e*a`` that the ``commute`` entry was measured
     on (``a_sq`` when ``e`` is ``a``).
     """
+    if variant not in ("printed", "corrected"):
+        raise PreconditionError(f"unknown lift variant {variant!r}")
     if defect is None or variant == "printed":
         s = instance.sub(a_sq, a)
     if defect is None:

@@ -143,10 +143,12 @@ def _run_lift(config: ExperimentConfig, report: dict) -> None:
         a = complex(calculus.h_bound(config.defect))
     else:
         raise ConfigError("lift supports complex scalars or complex matrix instances")
-    lifted = calculus.lift_idempotent(inst, a, config.variant, config.tolerance)
+    a_sq = inst.mul(a, a)
+    defect = inst.distance(a_sq, a)
+    lifted = calculus._lift(inst, a, a_sq, config.variant, config.tolerance, defect)[0]
     report["input"] = {
         "element": inst.serialize_element(a),
-        "defect": float(inst.distance(inst.mul(a, a), a)),
+        "defect": float(defect),
         "variant": config.variant,
     }
     report["output_element"] = inst.serialize_element(lifted.e)

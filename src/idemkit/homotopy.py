@@ -88,10 +88,13 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
     product starts from its first factor, so ``k`` segments take ``k - 1``
     composing products per side.  Newton-Schulz steps ``x <- x*(2 - u*x)``
     square ``1 - u*x``; they stop once ``norm(u*x - 1) <= tol/100`` or once
-    a step does not halve it, the rounding floor.  The gap cap only keeps
+    a step does not halve it, the rounding floor.  Stopped at ``tol/100``,
+    the loop also measures ``norm(x*u - 1)``, which on wide paths reads
+    hundreds of times larger, and takes further steps, which square it too,
+    while it is above ``tol`` and halves.  The gap cap only keeps
     ``1 - u*x`` small enough for the steps to converge; the certificate is
     the one check: ``norm(e(0)*u - u*e(1)) <= tol`` with both residuals of
-    ``x`` (the left one as the last step measured it), every segment's gap
+    ``x`` (as the last step measured them), every segment's gap
     against ``SEGMENT_GAP`` and the segment-count bound
     ``2*ceil(L/SEGMENT_GAP) + 2``.  Raises :class:`PathError` for a
     negative ``max_depth`` or a hint that is not finite, when some gap stays
@@ -156,10 +159,25 @@ def path_trivialize(path: IdempotentPath, max_depth: int = 24, tol: float = 1e-8
         last, residual = residual, inst.norm(d)
         if not residual < last / 2:  # the rounding floor (NaN included)
             break
+    right = None
+    if residual <= tol / 100:
+        # the x*u the certificate reads; a step x <- (2 - x*u)*x, the same
+        # iterate, squares both residuals
+        d_right = inst.sub(inst.mul(x, u), one)
+        right = inst.norm(d_right)
+        while right > tol:
+            x = inst.sub(x, inst.mul(d_right, x))
+            residual = inst.distance(inst.mul(u, x), one)
+            d_right = inst.sub(inst.mul(x, u), one)
+            last, right = right, inst.norm(d_right)
+            if not right < last / 2:
+                break
 
     cert = inst.certificate()
     e0, e1 = path.at(0.0), path.at(1.0)
-    certify_unit(inst, cert, e0, e1, u, x, tol, intertwine_rhs=tol, residual_left=residual)
+    certify_unit(
+        inst, cert, e0, e1, u, x, tol, intertwine_rhs=tol, residual_left=residual, residual_right=right
+    )
     cert.add("segments", len(gaps), 2 * math.ceil(L / SEGMENT_GAP) + 2)
     for k, gap in enumerate(gaps):
         cert.add(f"segment-gap[{k}]", gap, SEGMENT_GAP)

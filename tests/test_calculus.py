@@ -1,5 +1,6 @@
 """Certified inversion, proximity conjugation and idempotent polishing."""
 
+import itertools
 import math
 import sys
 import threading
@@ -561,11 +562,93 @@ def test_neumann_never_uses_more_products_than_the_series():
         assert _products(inst, lambda: neumann_inverse(inst, u, 1e-9)) <= n_terms + 2
 
 
-@pytest.mark.parametrize("variant, budget", [("corrected", 11), ("printed", 21)])
+@pytest.mark.parametrize("variant, budget", [("corrected", 11), ("printed", 10)])
 def test_lift_product_count_at_defect_0_2(variant, budget):
     inst = _CountingMatrices(16)
     a = _pinned_almost_idempotent(inst, 0.2, seed=53)
     assert _products(inst, lambda: lift_idempotent(inst, a, variant, 1e-10)) <= budget
+
+
+def _measured_printed_length(inst, s, t, tol):
+    """The printed series' a-priori length ``n0``, then its length and tail
+    bound from the norms of the powers of ``s``, every length below the
+    current one tried in turn: the reference for :func:`calculus._series_sum`."""
+    n0 = next(
+        m for m in itertools.count(1) if abs(printed_coefficient(m + 1)) * t ** (m + 1) / (1 - 4 * t) <= tol
+    )
+    n, tail = n0, None
+    powers, r = [s], [1.0, t]
+    while len(powers) < math.isqrt(n):
+        powers.append(inst.mul(powers[-1], s))
+        k = len(powers)
+        r.append(max(min(r[-1] * t, inst.norm(powers[-1])), sys.float_info.min))
+        for m in range(1, n):
+            bound = sum(
+                abs(printed_coefficient(j)) * r[k] ** (j // k) * r[j % k] for j in range(m + 1, m + k + 1)
+            ) / (1 - 4**k * r[k])
+            if bound <= tol:
+                n, tail = m, bound
+                break
+    return n0, n, tail
+
+
+@pytest.mark.parametrize("norm_kind", ["col-l1", "spectral"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_measured_printed_series_is_within_its_tail_bound_of_the_a_priori_series(n, norm_kind):
+    inst = MatrixAlgebra(COMPLEX, n, norm_kind)
+    tol = 1e-10
+    for i, t in enumerate((0.05, 0.2, 0.24)):
+        a = _pinned_almost_idempotent(inst, t, seed=97 + i)
+        lifted = lift_idempotent(inst, a, "printed", tol)
+        e0, cert0 = _series_lift(inst, a, "printed", tol)
+        tail = lifted.cert.entry("tail-bound").lhs
+        s = inst.sub(inst.mul(a, a), a)
+        n0, terms, reference = _measured_printed_length(inst, s, float(inst.norm(s)), tol)
+        assert terms < n0
+        assert tail == pytest.approx(reference, rel=1e-12)
+        assert 0 < tail <= tol
+        assert inst.distance(lifted.e, e0) <= tail + 1e-12
+        assert [x.holds for x in lifted.cert.entries] == [x.holds for x in cert0.entries]
+
+
+def test_scalar_printed_series_is_within_its_tail_bound_of_its_sum():
+    # for real a in (0, 1/2) the printed series sums to a + h(norm(a*a - a));
+    # on scalars the measured bound is below the a-priori one, and it
+    # shortens the series at t = 0.05, 0.14 and 0.165 (tol 1e-10) and at
+    # t = 0.05 and 0.235 (tol 1e-13)
+    measured = 0
+    for tol in (1e-10, 1e-13):
+        for t in (0.02, 0.05, 0.09, 0.14, 0.165, 0.2, 0.235):
+            a = complex(h_bound(t))
+            lifted = lift_idempotent(COMPLEX, a, "printed", tol)
+            tail = lifted.cert.entry("tail-bound").lhs
+            assert 0 < tail <= tol
+            assert abs(lifted.e - (a + h_bound(abs(a * a - a)))) <= tail + 1e-15
+            measured += tail != _series_lift(COMPLEX, a, "printed", tol)[1].entry("tail-bound").lhs
+    assert measured == 5
+
+
+def test_printed_series_keeps_the_a_priori_length_on_the_readme_scalar():
+    a = complex(h_bound(0.09))
+    lifted = lift_idempotent(COMPLEX, a, "printed", 1e-9)
+    _, cert0 = _series_lift(COMPLEX, a, "printed", 1e-9)
+    assert lifted.cert.entry("tail-bound").lhs == cert0.entry("tail-bound").lhs
+
+
+def test_printed_series_on_a_nilpotent_defect_keeps_a_positive_tail_bound():
+    # a = 1 + N with N*N = 0: s = N exactly, and s*s is exactly 0
+    inst = _CountingMatrices(4)
+    a = inst.one()
+    a[0, 3] = 0.1
+    lifted = []
+    products = _products(inst, lambda: lifted.append(lift_idempotent(inst, a, "printed", 1e-10)))
+    cert = lifted[0].cert
+    assert 0 < cert.entry("tail-bound").lhs <= 1e-10
+    # one term: e = a - s = 1
+    assert np.array_equal(lifted[0].e, inst.one())
+    assert cert.valid
+    # a*a, s*s, e*e, e*a and a*e
+    assert products == 5
 
 
 @pytest.mark.parametrize("norm_kind", ["col-l1", "spectral"])
@@ -670,11 +753,19 @@ def test_intertwiner_in_one_product_is_the_two_product_form_exactly():
     assert _products(counting, lambda: intertwiner(counting, x, x)) == 1
 
 
+def _powers(instance, s, p):
+    """``[s, s**2, .., s**p]``."""
+    powers = [s]
+    for _ in range(1, p):
+        powers.append(instance.mul(powers[-1], s))
+    return powers
+
+
 def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances():
     inst = MatrixAlgebra(ScaledIntegers(), 3)
     s = inst.random_element(np.random.default_rng(83))
     coefficients = [printed_coefficient(k) for k in range(1, 40)]
-    value = calculus._paterson_stockmeyer(inst, s, coefficients)
+    value = calculus._paterson_stockmeyer(inst, _powers(inst, s, 6), coefficients)
     power, expected = s, inst.zero()
     for c in coefficients:
         expected = inst.add(expected, inst.int_scale(c, power))
@@ -686,11 +777,8 @@ def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances():
 def _whole_array_paterson_stockmeyer(instance, s, coefficients):
     """The printed-series sum with each block's scaled adds over the whole
     array, as before they went one row chunk at a time."""
-    degree = len(coefficients)
-    p = math.isqrt(degree)
-    powers = [s]
-    for _ in range(1, p):
-        powers.append(instance.mul(powers[-1], s))
+    powers = _powers(instance, s, math.isqrt(len(coefficients)))
+    degree, p = len(coefficients), len(powers)
     acc = None
     for start in range((degree - 1) // p * p, -1, -p):
         block = zip(coefficients[start : start + p], powers)
@@ -711,7 +799,7 @@ def test_block_sums_in_row_chunks_equal_the_whole_array_loop(inner, monkeypatch)
     expected = _whole_array_paterson_stockmeyer(inst, s, coefficients)
     # chunks of 3, 3 and 1 rows
     monkeypatch.setattr(calculus, "BLOCK_SUM_CHUNK_BYTES", 3 * s[0].nbytes)
-    value = calculus._paterson_stockmeyer(inst, s, coefficients)
+    value = calculus._paterson_stockmeyer(inst, _powers(inst, s, 3), coefficients)
     assert value.dtype == expected.dtype
     if inner.exact:
         assert value.tolist() == expected.tolist()

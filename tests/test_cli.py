@@ -98,6 +98,34 @@ def test_printed_variant_on_scalar_exits_two(tmp_path):
     assert not report["summary"]["all_certificates_valid"]
 
 
+def test_lift_forms_the_input_square_once(monkeypatch, tmp_path):
+    products = []
+    mul = idemkit.MatrixAlgebra.mul
+    monkeypatch.setattr(idemkit.MatrixAlgebra, "mul", lambda self, x, y: products.append(1) or mul(self, x, y))
+    out = tmp_path / "lift.json"
+    args = ["lift", "--instance", '{"kind":"matrix","n":4}', "--defect", "0.1", "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads(out.read_text())
+    inst = idemkit.MatrixAlgebra(idemkit.COMPLEX, 4)
+    a = idemkit.random_almost_idempotent(inst, 0.1, seed=0)
+    assert report["input"]["defect"] == float(inst.distance(mul(inst, a, a), a))
+    in_cli = len(products)
+    idemkit.lift_idempotent(inst, a, "corrected", 1e-9)
+    assert in_cli == len(products) - in_cli
+    with pytest.raises(idemkit.PreconditionError, match="unknown lift variant"):
+        build_report(ExperimentConfig(command="lift", variant="mystery"))
+
+
+def test_printed_matrix_lift_at_a_tiny_tolerance_exits_zero(tmp_path):
+    # the input's defect is 0.045, where the printed series reaches 1e-300
+    # before its coefficients pass the float range
+    out = tmp_path / "lift.json"
+    args = ["lift", "--instance", '{"kind":"matrix","n":4}', "--variant", "printed", "--tol", "1e-300"]
+    assert main([*args, "--out", str(out)]) == 0
+    [cert] = json.loads(out.read_text())["certificates"]
+    assert 0 < cert["entries"][0]["lhs"] <= 1e-300
+
+
 def test_corrected_variant_on_scalar_exits_zero(tmp_path):
     out = tmp_path / "ok.json"
     args = [

@@ -175,8 +175,8 @@ def test_trivialization_composes_segments_minus_one_pairs():
     assert len(samples) == segments + 1 > 2
     # one e*e per sample, the two intertwiners of each segment, segments - 1
     # composing pairs, the start residual u*x, two products in each of the
-    # three Newton-Schulz steps and the three products of the final
-    # certificate, which reads its residual-left from the last step
+    # three Newton-Schulz steps, the residual-right's x*u and the two
+    # intertwine products of the final certificate
     steps = 3
     assert total == len(samples) + 2 * segments + 2 * (segments - 1) + 1 + 2 * steps + 3
 
@@ -215,6 +215,24 @@ def test_newton_schulz_stops_at_the_rounding_floor():
     assert cert.entry("residual-left").lhs > 1e-302
     assert cert.valid
     assert total == 75
+
+
+def test_newton_schulz_steps_on_until_the_right_residual_reaches_tol():
+    # stopped at tol/100 on the left, x*u - 1 read 1.01e-8 here and held
+    # only through the slack
+    inst = _CountingMatrices(8)
+    path = conjugation_path(inst, 3, seed=0, spread=10)
+    unit = []
+    total = _products(inst, lambda: unit.append(path_trivialize(path, tol=1e-8)))
+    cert = unit[0].cert
+    u, x = unit[0].u, unit[0].u_inv
+    one = inst.one()
+    assert cert.entry("residual-right").lhs <= 1e-8
+    assert cert.entry("residual-right").lhs == inst.distance(inst.mul(x, u), one)
+    assert cert.entry("residual-left").lhs == inst.distance(inst.mul(u, x), one)
+    assert cert.valid
+    # one step more: x, then u*x and x*u measured again
+    assert total == 4367
 
 
 def test_experiment_classifies_the_samples_its_paths_certified(monkeypatch):

@@ -64,6 +64,11 @@ DEFAULT_EXTRAS = [
     # the parser's own defaults, which no README command leaves unset
     ["collapse"],
     ["lift"],
+    # printed lifts of dense matrices, whose series the measured power norms
+    # shorten; they exit 2, or 0 where the input is near the identity and
+    # the printed series gives an idempotent (seed 7)
+    ["lift", "--instance", '{"kind":"matrix","n":16}', "--defect", "0.2", "--variant", "printed"],
+    ["lift", "--instance", '{"kind":"matrix","n":16}', "--defect", "0.05", "--variant", "printed"],
     # the largest collapse, and one over a non-scalar inner instance
     ["collapse", "--n", "65536"],
     ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
