@@ -25,8 +25,8 @@ Two lift variants are shipped:
 All series coefficients are integers: ``2**(2n-1)`` times a binomial
 coefficient of ``1/2`` or ``-1/2``, computed from their closed forms (signed
 Catalan numbers and halved central binomials) with exact integer
-arithmetic, and cached; the ``corrected`` coefficients remain the reference
-that :func:`scalar_lift_rational` sums.
+arithmetic, and cached.  Only the ``printed`` series is summed on elements;
+the ``corrected`` one is summed by the reference :func:`scalar_lift_rational`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ import sys
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-import numpy as np
-
 from .core import AlgebraInstance, Certificate
 from .errors import PreconditionError, SeriesTruncationError
 
@@ -47,9 +45,6 @@ SERIES_HARD_CAP = 10_000
 #: factors ``1 + d**(2**i)`` covering the first ``SERIES_HARD_CAP`` terms
 _NEUMANN_FACTOR_CAP = SERIES_HARD_CAP.bit_length()
 NEWTON_STEP_CAP = 64
-#: bytes of the row chunk in which a printed-series block sum of array
-#: elements adds all its scaled powers, so that the chunk stays in cache
-BLOCK_SUM_CHUNK_BYTES = 2**18
 
 
 class CertifiedUnit(NamedTuple):
@@ -296,10 +291,10 @@ def conjugating_unit(
 # idempotent polishing
 
 
-def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float):
-    """Truncated ``sum_{n>=1} coefficient(n) * s**n`` with a certified tail.
+def _series_sum(instance: AlgebraInstance, s, t: float, tol: float):
+    """Truncated ``sum_{n>=1} printed_coefficient(n) * s**n``, certified tail.
 
-    Both coefficient sequences grow by a ratio below 4.  So the a-priori
+    The printed coefficients grow by a ratio below 4.  So the a-priori
     length ``N0`` is the smallest ``N`` whose first omitted term bound,
     divided by ``1 - 4t``, is at most ``tol``; it is chosen from scalars
     before any product, and :class:`SeriesTruncationError` is raised past
@@ -316,7 +311,7 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
     """
     if t == 0:
         return instance.zero(), 0.0
-    term_bound = abs(coefficient(1)) * t
+    term_bound = t  # printed_coefficient(1) is 1
     n = 0
     while True:
         n += 1
@@ -325,7 +320,9 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
                 f"series needs more than {SERIES_HARD_CAP} terms at defect {t}"
             )
         try:
-            next_bound = term_bound * abs(coefficient(n + 1)) / abs(coefficient(n)) * t
+            next_bound = (
+                term_bound * abs(printed_coefficient(n + 1)) / abs(printed_coefficient(n)) * t
+            )
         except OverflowError as exc:
             raise SeriesTruncationError(
                 f"series coefficient {n + 1} overflows a float before the tail "
@@ -341,23 +338,22 @@ def _series_sum(instance: AlgebraInstance, s, t: float, coefficient, tol: float)
         # capped first, so that a NaN norm leaves the a-priori bound
         r.append(max(min(r[-1] * t, float(instance.norm(powers[-1]))), sys.float_info.min))
         shorter = 1 + bisect.bisect_left(
-            range(1, n), True, key=lambda m: _measured_tail_bound(coefficient, r, m) <= tol
+            range(1, n), True, key=lambda m: _measured_tail_bound(r, m) <= tol
         )
         if shorter < n:
-            n, tail = shorter, _measured_tail_bound(coefficient, r, shorter)
-    coefficients = [coefficient(k) for k in range(1, n + 1)]
+            n, tail = shorter, _measured_tail_bound(r, shorter)
+    coefficients = [printed_coefficient(k) for k in range(1, n + 1)]
     return _paterson_stockmeyer(instance, powers, coefficients), tail
 
 
-def _measured_tail_bound(coefficient, r, n: int) -> float:
-    """Bound on ``norm(sum_{m>n} coefficient(m) * s**m)`` from bounds
+def _measured_tail_bound(r, n: int) -> float:
+    """Bound on ``norm(sum_{m>n} printed_coefficient(m) * s**m)`` from bounds
     ``r[j]`` on ``norm(s**j)``, ``j <= k = len(r) - 1``, with ``r[0] = 1``.
 
     Submultiplicativity gives ``norm(s**m) <= r[k]**(m // k) * r[m % k]``,
-    and the coefficients grow by a ratio below 4, so
-    ``|coefficient(m + k)| < 4**k * |coefficient(m)|``.  Whenever
-    ``4**k * r[k] < 1`` the tail is therefore at most
-    ``sum_{m=n+1..n+k} |coefficient(m)| * r[k]**(m // k) * r[m % k]``
+    and the coefficients ``c(m)`` grow by a ratio below 4, so
+    ``|c(m + k)| < 4**k * |c(m)|``.  Whenever ``4**k * r[k] < 1`` the tail
+    is therefore at most ``sum_{m=n+1..n+k} |c(m)| * r[k]**(m // k) * r[m % k]``
     over ``1 - 4**k * r[k]`` (the measured-norm bound of Al-Mohy and
     Higham, SIAM J. Matrix Anal. Appl. 31, 2009); otherwise it is ``inf``.
     The terms are summed from logarithms, since a coefficient may pass the
@@ -369,7 +365,7 @@ def _measured_tail_bound(coefficient, r, n: int) -> float:
         return math.inf
     log_r = [math.log(x) for x in r]
     terms = (
-        math.exp(math.log(abs(coefficient(m))) + m // k * log_r[k] + log_r[m % k])
+        math.exp(math.log(abs(printed_coefficient(m))) + m // k * log_r[k] + log_r[m % k])
         for m in range(n + 1, n + k + 1)
     )
     return math.fsum(terms) / (1 - ratio)
@@ -384,11 +380,8 @@ def _paterson_stockmeyer(instance: AlgebraInstance, powers, coefficients):
     with ``p = isqrt(N)`` the powers take ``p - 1`` products more, about
     ``2 * sqrt(N)`` in all (Paterson and Stockmeyer, SIAM J. Comput. 2,
     1973).  Each block is accumulated in place: one scaled add per
-    coefficient into the block's sum, not a new sum per coefficient.  An
-    array element takes those adds one row chunk of
-    ``BLOCK_SUM_CHUNK_BYTES`` at a time, every coefficient of the block
-    into one chunk before the next: each entry gets the same operations in
-    the same order.  Exact instances keep integer coefficients.
+    coefficient into the block's sum, not a new sum per coefficient.
+    Exact instances keep integer coefficients.
     """
     degree, p = len(coefficients), len(powers)
     acc = None
@@ -399,17 +392,9 @@ def _paterson_stockmeyer(instance: AlgebraInstance, powers, coefficients):
         else:
             acc = instance.mul(acc, powers[-1])
         # int_scale and add of the entrywise ring structure, into the array
-        # this loop owns
-        if np.ndim(acc):
-            block = list(block)
-            rows = max(1, BLOCK_SUM_CHUNK_BYTES // acc[0].nbytes)
-            for r in range(0, len(acc), rows):
-                chunk = acc[r : r + rows]
-                for c, w in block:
-                    chunk += c * w[r : r + rows]
-        else:
-            for c, w in block:
-                acc += c * w
+        # this loop owns (a scalar is rebound instead)
+        for c, w in block:
+            acc += c * w
     return acc
 
 
@@ -513,7 +498,7 @@ def _lift(instance: AlgebraInstance, a, a_sq, variant: str, tol: float, defect=N
     x = float(instance.norm(instance.sub(instance.int_scale(2, a), instance.one())))
     if variant == "printed":
         del a_sq  # one n x n array fewer while the series holds its powers
-        series, tail = _series_sum(instance, s, t, printed_coefficient, tol)
+        series, tail = _series_sum(instance, s, t, tol)
         e = instance.sub(a, series)
         defect = instance.distance(instance.mul(e, e), e)
         steps = None

@@ -47,6 +47,11 @@ from .instances import (
 )
 from .report import SCHEMA_VERSION, render_report
 
+#: largest --trials: a uhf depth-6 surjective transfer holds about 9 KB and
+#: writes about 1 KB of report per trial, about 90 MB and 10 MB at the cap
+MAX_TRIALS = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: command, descriptors, seed and knobs.
@@ -96,8 +101,8 @@ class ExperimentConfig:
         # h_bound(eps) is defined only below 1/4; one range serves both directions
         if not (isinstance(self.eps, (int, float)) and 0 < self.eps < 0.25):
             raise ConfigError(f"eps must satisfy 0 < eps < 1/4, got {self.eps!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
+        if not (isinstance(self.trials, int) and 1 <= self.trials <= MAX_TRIALS):
+            raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials!r}")
         unread = [
             f.name
             for f in dataclasses.fields(self)

@@ -761,51 +761,34 @@ def _powers(instance, s, p):
     return powers
 
 
-def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances():
-    inst = MatrixAlgebra(ScaledIntegers(), 3)
+@pytest.mark.parametrize(
+    "inst",
+    [
+        MatrixAlgebra(ScaledIntegers(), 3),
+        MatrixAlgebra(COMPLEX, 5),
+        MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 3),
+    ],
+    ids=["integers", "complex", "nested"],
+)
+def test_paterson_stockmeyer_keeps_integer_coefficients_on_exact_instances(inst):
     s = inst.random_element(np.random.default_rng(83))
+    if not inst.exact:
+        s *= 0.2 / inst.norm(s)  # within the series' radius of convergence, 1/4
+    s_before = s.copy()
     coefficients = [printed_coefficient(k) for k in range(1, 40)]
     value = calculus._paterson_stockmeyer(inst, _powers(inst, s, 6), coefficients)
     power, expected = s, inst.zero()
     for c in coefficients:
         expected = inst.add(expected, inst.int_scale(c, power))
         power = inst.mul(power, s)
-    assert value.dtype == object and np.array_equal(value, expected)
-    assert all(type(v) is int for v in value.flat)
-
-
-def _whole_array_paterson_stockmeyer(instance, s, coefficients):
-    """The printed-series sum with each block's scaled adds over the whole
-    array, as before they went one row chunk at a time."""
-    powers = _powers(instance, s, math.isqrt(len(coefficients)))
-    degree, p = len(coefficients), len(powers)
-    acc = None
-    for start in range((degree - 1) // p * p, -1, -p):
-        block = zip(coefficients[start : start + p], powers)
-        if acc is None:
-            acc = instance.int_scale(*next(block))
-        else:
-            acc = instance.mul(acc, powers[-1])
-        for c, w in block:
-            acc += c * w
-    return acc
-
-
-@pytest.mark.parametrize("inner", [COMPLEX, ScaledIntegers()], ids=["complex", "integers"])
-def test_block_sums_in_row_chunks_equal_the_whole_array_loop(inner, monkeypatch):
-    inst = MatrixAlgebra(inner, 7)
-    s = inst.random_element(np.random.default_rng(89))
-    coefficients = [printed_coefficient(k) for k in range(1, 12)]
-    expected = _whole_array_paterson_stockmeyer(inst, s, coefficients)
-    # chunks of 3, 3 and 1 rows
-    monkeypatch.setattr(calculus, "BLOCK_SUM_CHUNK_BYTES", 3 * s[0].nbytes)
-    value = calculus._paterson_stockmeyer(inst, _powers(inst, s, 3), coefficients)
-    assert value.dtype == expected.dtype
-    if inner.exact:
-        assert value.tolist() == expected.tolist()
+    # the block sums write into arrays of their own, never into the powers
+    assert np.array_equal(s, s_before)
+    assert value.shape == inst.shape and value.dtype == inst.dtype
+    if inst.exact:
+        assert np.array_equal(value, expected)
         assert all(type(v) is int for v in value.flat)
     else:
-        assert value.tobytes() == expected.tobytes()
+        assert inst.distance(value, expected) <= 1e-12 * inst.norm(expected)
 
 
 def test_neumann_factor_cap():

@@ -9,6 +9,8 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -342,6 +344,48 @@ def test_huge_n_exits_one_before_allocating(command, n, extra, capsys):
     err = capsys.readouterr().err
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 257 * 257**2 block products of 1 x 1 entries, one over the entry cap
+        pytest.param(
+            [
+                "norm-audit",
+                "--samples",
+                "0",
+                "--instance",
+                '{"kind":"matrix","n":257,"inner":{"kind":"matrix","n":1}}',
+            ],
+            id="nested-matrix-257",
+        ),
+        pytest.param(
+            ["norm-audit", "--samples", "0", "--instance", '{"kind":"sequence","truncation":4097}'],
+            id="l1-truncation-4097",
+        ),
+        pytest.param(["transfer", "--trials", "10001"], id="trials-10001"),
+    ],
+)
+def test_work_caps_exit_one_with_one_line_before_allocating(args, capsys):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+    assert elapsed < 1 and peak < 10 * 2**20
+
+
+def test_trials_up_to_the_cap_are_accepted():
+    assert cli.MAX_TRIALS == 10_000
+    assert ExperimentConfig(command="transfer", trials=cli.MAX_TRIALS).trials == cli.MAX_TRIALS
 
 
 @pytest.mark.parametrize(

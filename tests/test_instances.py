@@ -13,6 +13,7 @@ from idemkit.instances import (
     COMPLEX,
     ComplexScalars,
     MAX_ELEMENT_ENTRIES,
+    MAX_SEQUENCE_TRUNCATION,
     ONE_TEMPLATE_ENTRIES,
     MatrixAlgebra,
     SampledFunctionAlgebra,
@@ -540,6 +541,11 @@ def test_descriptor_field_types_are_checked(desc):
 def test_descriptor_element_size_is_capped_before_allocation():
     assert MAX_ELEMENT_ENTRIES == 4096**2
     assert parse_instance({"kind": "matrix", "n": 4096}).shape == (4096, 4096)
+    # at the caps: 256**3 block products of one entry, and the longest l1
+    # sequence; a sup-norm sequence is pointwise and has the entry cap only
+    assert parse_instance({"kind": "matrix", "n": 256, "inner": {"kind": "matrix", "n": 1}})
+    assert parse_instance({"kind": "sequence", "truncation": MAX_SEQUENCE_TRUNCATION})
+    assert parse_instance({"kind": "sequence", "mode": "linf", "truncation": 2**20})
     for desc in (
         {"kind": "matrix", "n": 100000},
         {"kind": "matrix", "n": 4097},
@@ -548,6 +554,9 @@ def test_descriptor_element_size_is_capped_before_allocation():
         {"kind": "sequence", "mode": "linf", "truncation": 10**12},
         {"kind": "matrix", "n": 2049, "inner": {"kind": "matrix", "n": 2}},
         {"kind": "functions", "points": 4096, "inner": {"kind": "sequence", "truncation": 4097}},
+        {"kind": "matrix", "n": 257, "inner": {"kind": "matrix", "n": 1}},
+        {"kind": "matrix", "n": 64, "inner": {"kind": "sequence", "truncation": 65}},
+        {"kind": "sequence", "truncation": MAX_SEQUENCE_TRUNCATION + 1},
     ):
         with pytest.raises(ConfigError):
             parse_instance(desc)

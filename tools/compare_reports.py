@@ -69,6 +69,8 @@ DEFAULT_EXTRAS = [
     # the printed series gives an idempotent (seed 7)
     ["lift", "--instance", '{"kind":"matrix","n":16}', "--defect", "0.2", "--variant", "printed"],
     ["lift", "--instance", '{"kind":"matrix","n":16}', "--defect", "0.05", "--variant", "printed"],
+    # a printed lift of the dense-calculus benchmark's size, powers of 1 MB
+    ["lift", "--instance", '{"kind":"matrix","n":256}', "--defect", "0.2", "--variant", "printed"],
     # the largest collapse, and one over a non-scalar inner instance
     ["collapse", "--n", "65536"],
     ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
@@ -82,6 +84,12 @@ DEFAULT_EXTRAS = [
     ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
     # a sequence algebra, which no README command builds
     ["norm-audit", "--instance", '{"kind":"sequence","truncation":4}'],
+    # sequence products batched over the block products of a matrix
+    [
+        "norm-audit",
+        "--instance",
+        '{"kind":"matrix","n":3,"inner":{"kind":"sequence","truncation":3}}',
+    ],
 ]
 
 #: help and parser-error argument lists, compared at every seed like the
