@@ -112,7 +112,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.command} does not read the config fields {unread}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # shallow: dataclasses.asdict would recurse through a deep descriptor
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -383,12 +384,14 @@ def _read_descriptor(name: str, text: str) -> dict:
     """A JSON object, inline or in a file; ``null`` or any other JSON value
     is rejected rather than read as the omitted flag."""
     try:
-        desc = json.loads(text)
-    except json.JSONDecodeError:
         try:
+            desc = json.loads(text)
+        except json.JSONDecodeError:
             desc = json.loads(Path(text).read_bytes())
-        except (OSError, ValueError):  # ValueError: undecodable bytes or a NUL in the path
-            raise ConfigError(f"not valid JSON and not a readable file: {text!r}") from None
+    except (OSError, ValueError):  # undecodable bytes, a NUL in the path, a 4301-digit int
+        raise ConfigError(f"not valid JSON and not a readable file: {text!r}") from None
+    except RecursionError:
+        raise ConfigError(f"the {name} descriptor nests too deeply for the JSON parser") from None
     if not isinstance(desc, dict):
         raise ConfigError(f"the {name} descriptor must be a JSON object, got {text!r}")
     return desc

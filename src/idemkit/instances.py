@@ -473,14 +473,10 @@ def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
 
 TOWER_KINDS = ("uhf", "cantor")
 
-#: entries of the largest element a descriptor may ask for: a 4096 x 4096
-#: matrix, the size of a depth-12 uhf tower's top level
+#: the most entries one product of a descriptor may form or walk one at a
+#: time (see :func:`parse_instance`), as for 4096 x 4096 complex matrices; at
+#: least an element's entry count, so it bounds elements and held entries too
 MAX_ELEMENT_ENTRIES = 4096**2
-
-#: largest l1 sequence truncation: a product is a loop of ``truncation``
-#: batched adds of up to ``truncation`` entries, 0.37 s at 4096 and 32 s at
-#: 65536 for a norm audit (2 vCPUs), and the time grows with its square
-MAX_SEQUENCE_TRUNCATION = 4096
 
 _REQUIRED = object()
 
@@ -489,55 +485,65 @@ def parse_instance(desc: dict) -> AlgebraInstance:
     """Build an instance from a JSON descriptor.
 
     Accepts the flat form ``{"kind": "matrix", "n": 4, ...}`` and the
-    enveloped form ``{"kind": "matrix", "params": {"n": 4, ...}}``.  Field
-    types are checked (booleans are not integers), and instances are refused
-    before anything is allocated when their elements would exceed
-    ``MAX_ELEMENT_ENTRIES`` entries, when a matrix product over a
-    non-scalar inner instance would form more block-product entries than
-    that (``n`` times an element's entries), or when an l1 sequence is
-    truncated past ``MAX_SEQUENCE_TRUNCATION``.
-    ``{"kind": "sequence", "mode": "linf"}`` is the sampled function
-    algebra on ``range(truncation)``.
+    enveloped form ``{"kind": "matrix", "params": {"n": 4, ...}}``, and
+    checks field types (booleans are not integers).  The ``inner`` chain
+    is walked without recursion, and before anything is built the work of
+    one product, the entries it forms or walks one at a time, must be at
+    most ``MAX_ELEMENT_ENTRIES``: 1 for a scalar; ``n**2`` for a matrix
+    over complex scalars (a BLAS matmul forms only its outputs), ``n**3``
+    over scaled integers (an object matmul multiplies entry by entry) and
+    ``n**3 * w`` over a non-scalar inner instance of work ``w``; ``points *
+    w`` for functions and ``"linf"`` sequences (sampled functions on
+    ``range(truncation)``); ``truncation**2 * w`` for an l1 sequence.
+    Batched along one more axis, as ``collapse`` batches them, products
+    may form arrays of at most 32 axes, the most that ``np.broadcast``
+    takes (``SequenceAlgebra.mul`` calls it).
     """
-    kind, d = _unwrap("instance", desc)
-    if kind == "complex":
-        _reject_extras(kind, d, ())
-        return COMPLEX
-    if kind == "scaled-integers":
-        _reject_extras(kind, d, ("r",))
-        return ScaledIntegers(as_fraction(d.get("r", 1)))
-    if kind == "matrix":
-        _reject_extras(kind, d, ("n", "norm", "inner"))
-        n = _field(kind, d, "n", int)
-        inner = _parse_inner(kind, d, n * n)
-        # MatrixAlgebra.mul forms all n**3 block products at once
-        if inner.shape and n**3 * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
-            raise ConfigError(
-                "'matrix' products over a non-scalar inner instance would form "
-                f"more than {MAX_ELEMENT_ENTRIES} block-product entries"
-            )
-        return MatrixAlgebra(inner, n, _field(kind, d, "norm", str, "col-l1"))
-    if kind == "functions":
-        _reject_extras(kind, d, ("points", "inner"))
-        points = _field(kind, d, "points", (int, list), 2)
-        inner = _parse_inner(kind, d, points if isinstance(points, int) else len(points))
-        return SampledFunctionAlgebra(points if isinstance(points, list) else range(points), inner)
-    if kind == "sequence":
-        _reject_extras(kind, d, ("mode", "truncation", "inner"))
-        mode = _field(kind, d, "mode", str, "l1")
-        truncation = _field(kind, d, "truncation", int, 8)
-        inner = _parse_inner(kind, d, truncation)
-        if mode == "linf":
-            return SampledFunctionAlgebra(range(truncation), inner)
-        if mode == "l1" and truncation > MAX_SEQUENCE_TRUNCATION:
-            raise ConfigError(
-                f"'sequence' l1 truncation must be at most {MAX_SEQUENCE_TRUNCATION}, "
-                f"got {truncation}"
-            )
-        return SequenceAlgebra(mode, truncation, inner)
-    if kind in TOWER_KINDS:
-        raise ConfigError(f"{kind!r} is a tower descriptor; use parse_tower")
-    raise ConfigError(f"unknown instance kind {kind!r}")
+    levels = []  # (kind, size, constructor over the inner instance), outermost first
+    while True:
+        kind, d = _unwrap("instance", desc)
+        if kind in ("complex", "scaled-integers"):
+            _reject_extras(kind, d, () if kind == "complex" else ("r",))
+            instance = COMPLEX if kind == "complex" else ScaledIntegers(as_fraction(d.get("r", 1)))
+            break
+        if kind == "matrix":
+            _reject_extras(kind, d, ("n", "norm", "inner"))
+            size, norm = _field(kind, d, "n", int), _field(kind, d, "norm", str, "col-l1")
+            build = functools.partial(MatrixAlgebra, n=size, norm_kind=norm)
+        elif kind == "functions":
+            _reject_extras(kind, d, ("points", "inner"))
+            points = _field(kind, d, "points", (int, list), 2)
+            size = points if isinstance(points, int) else len(points)  # len(range) overflows
+            grid = range(points) if isinstance(points, int) else points
+            build = functools.partial(SampledFunctionAlgebra, grid)
+        elif kind == "sequence":
+            _reject_extras(kind, d, ("mode", "truncation", "inner"))
+            mode, size = _field(kind, d, "mode", str, "l1"), _field(kind, d, "truncation", int, 8)
+            build = functools.partial(SequenceAlgebra, mode, size)
+            if mode == "linf":
+                build = functools.partial(SampledFunctionAlgebra, range(size))
+        elif kind in TOWER_KINDS:
+            raise ConfigError(f"{kind!r} is a tower descriptor; use parse_tower")
+        else:
+            raise ConfigError(f"unknown instance kind {kind!r}")
+        levels.append((kind, size, build))
+        desc = _field(kind, d, "inner", dict, {"kind": "complex"})
+    # innermost first, from a batch axis; a size below 1 is refused when built
+    work, axes = 1, 1
+    for i, (kind, size, build) in enumerate(reversed(levels)):
+        if kind == "matrix":
+            work *= size**2 if i == 0 and instance is COMPLEX else size**3
+            axes += 2 if i == 0 else 3  # over a scalar x @ y, else n**3 block products
+        else:
+            work *= size**2 if build.func is SequenceAlgebra else size
+            axes += 1
+        if abs(work) > MAX_ELEMENT_ENTRIES:
+            raise ConfigError(f"a product would form or walk over {MAX_ELEMENT_ENTRIES} entries")
+        if axes > 32:  # numpy's limit, not a size policy
+            raise ConfigError("a product would form arrays of more than 32 axes")
+    for *_, build in reversed(levels):
+        instance = build(instance)
+    return instance
 
 
 def parse_tower(desc: dict) -> Tower:
@@ -573,16 +579,6 @@ def _field(kind: str, d: dict, name: str, types, default=_REQUIRED):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{kind!r} field {name!r} has the wrong type: {value!r}")
     return value
-
-
-def _parse_inner(kind: str, d: dict, entries: int) -> AlgebraInstance:
-    """The inner instance, once the element size it implies is within the cap."""
-    inner = parse_instance(_field(kind, d, "inner", dict, {"kind": "complex"}))
-    if entries * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
-        raise ConfigError(
-            f"{kind!r} elements would have more than {MAX_ELEMENT_ENTRIES} entries"
-        )
-    return inner
 
 
 def _reject_extras(kind: str, d: dict, allowed: tuple) -> None:

@@ -346,10 +346,16 @@ def test_huge_n_exits_one_before_allocating(command, n, extra, capsys):
     assert err.count("\n") == 1
 
 
+def _nested(kind: str, size_field: str, levels: int) -> str:
+    """JSON text of ``levels`` nested containers of size 1 over complex scalars."""
+    level = f'{{"kind":"{kind}","{size_field}":1,"inner":'
+    return level * levels + '{"kind":"complex"}' + "}" * levels
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        # 257 * 257**2 block products of 1 x 1 entries, one over the entry cap
+        # 257 * 257**2 block products of 1 x 1 entries, over the work bound
         pytest.param(
             [
                 "norm-audit",
@@ -365,6 +371,54 @@ def test_huge_n_exits_one_before_allocating(command, n, extra, capsys):
             id="l1-truncation-4097",
         ),
         pytest.param(["transfer", "--trials", "10001"], id="trials-10001"),
+        # 16**3 block products of 4096**2 / 2 sequence entry products each
+        pytest.param(
+            [
+                "norm-audit",
+                "--samples",
+                "0",
+                "--instance",
+                '{"kind":"matrix","n":16,"inner":{"kind":"sequence","truncation":4096}}',
+            ],
+            id="matrix-16-over-l1-4096",
+        ),
+        # an object matmul multiplies all 4096**3 entry pairs one at a time
+        pytest.param(
+            [
+                "collapse",
+                "--n",
+                "1",
+                "--instance",
+                '{"kind":"matrix","n":4096,"inner":{"kind":"scaled-integers"}}',
+            ],
+            id="matrix-4096-over-scaled-integers",
+        ),
+        # more axes than numpy takes: 3 per matrix level, 1 per sequence or
+        # function level, and the batch axis that collapse's products add
+        pytest.param(["norm-audit", "--instance", _nested("matrix", "n", 22)], id="matrix-22"),
+        pytest.param(
+            ["norm-audit", "--instance", _nested("sequence", "truncation", 33)], id="l1-33"
+        ),
+        pytest.param(
+            ["collapse", "--n", "1", "--instance", _nested("sequence", "truncation", 32)],
+            id="collapse-l1-32",
+        ),
+        # deeper than the parse, or the report's config, could recurse
+        pytest.param(
+            ["norm-audit", "--instance", _nested("functions", "points", 300)], id="functions-300"
+        ),
+        pytest.param(
+            ["norm-audit", "--instance", _nested("functions", "points", 900)], id="functions-900"
+        ),
+        pytest.param(
+            ["norm-audit", "--instance", '{"kind":"matrix","params":' * 700 + "{}" + "}" * 700],
+            id="params-700",
+        ),
+        # an integer that Python's JSON parser will not convert
+        pytest.param(
+            ["norm-audit", "--instance", '{"kind":"matrix","n":' + "1" * 5000 + "}"],
+            id="n-of-5000-digits",
+        ),
     ],
 )
 def test_work_caps_exit_one_with_one_line_before_allocating(args, capsys):
@@ -381,6 +435,26 @@ def test_work_caps_exit_one_with_one_line_before_allocating(args, capsys):
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1
     assert elapsed < 1 and peak < 10 * 2**20
+
+
+def test_descriptor_file_too_deep_for_the_json_parser_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested("matrix", "n", 2000))
+    assert main(["norm-audit", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("idemkit: config error: ")
+    assert err.count("\n") == 1
+
+
+def test_shallow_mixed_nesting_runs(tmp_path):
+    functions = '{"kind":"functions","points":2}'
+    sequence = f'{{"kind":"sequence","truncation":3,"inner":{functions}}}'
+    instance = f'{{"kind":"matrix","n":2,"inner":{sequence}}}'
+    out = tmp_path / "audit.json"
+    assert main(["norm-audit", "--instance", instance, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["norm_audit"]["instance"]["inner"]["inner"]["kind"] == (
+        "functions"
+    )
 
 
 def test_trials_up_to_the_cap_are_accepted():

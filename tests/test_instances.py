@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from idemkit import deloop
 from idemkit.core import GROUP_AXIOM_PREFIXES, ScaledIntegers, check_norm_axioms
 from idemkit.errors import ConfigError
 from idemkit.instances import (
     COMPLEX,
     ComplexScalars,
     MAX_ELEMENT_ENTRIES,
-    MAX_SEQUENCE_TRUNCATION,
     ONE_TEMPLATE_ENTRIES,
     MatrixAlgebra,
     SampledFunctionAlgebra,
@@ -541,11 +541,15 @@ def test_descriptor_field_types_are_checked(desc):
 def test_descriptor_element_size_is_capped_before_allocation():
     assert MAX_ELEMENT_ENTRIES == 4096**2
     assert parse_instance({"kind": "matrix", "n": 4096}).shape == (4096, 4096)
-    # at the caps: 256**3 block products of one entry, and the longest l1
-    # sequence; a sup-norm sequence is pointwise and has the entry cap only
+    # at the work bound: 256**3 block products of one entry, the longest l1
+    # sequence, object matmuls over scaled integers and matrices over l1
+    # sequences; a sup-norm sequence is pointwise, one entry per point
     assert parse_instance({"kind": "matrix", "n": 256, "inner": {"kind": "matrix", "n": 1}})
-    assert parse_instance({"kind": "sequence", "truncation": MAX_SEQUENCE_TRUNCATION})
+    assert parse_instance({"kind": "sequence", "truncation": 4096})
     assert parse_instance({"kind": "sequence", "mode": "linf", "truncation": 2**20})
+    assert parse_instance({"kind": "matrix", "n": 256, "inner": {"kind": "scaled-integers"}})
+    assert parse_instance({"kind": "matrix", "n": 4, "inner": {"kind": "sequence", "truncation": 512}})
+    assert parse_instance({"kind": "matrix", "n": 16, "inner": {"kind": "sequence", "truncation": 64}})
     for desc in (
         {"kind": "matrix", "n": 100000},
         {"kind": "matrix", "n": 4097},
@@ -556,9 +560,40 @@ def test_descriptor_element_size_is_capped_before_allocation():
         {"kind": "functions", "points": 4096, "inner": {"kind": "sequence", "truncation": 4097}},
         {"kind": "matrix", "n": 257, "inner": {"kind": "matrix", "n": 1}},
         {"kind": "matrix", "n": 64, "inner": {"kind": "sequence", "truncation": 65}},
-        {"kind": "sequence", "truncation": MAX_SEQUENCE_TRUNCATION + 1},
+        {"kind": "sequence", "truncation": 4097},
+        {"kind": "matrix", "n": 257, "inner": {"kind": "scaled-integers"}},
+        {"kind": "matrix", "n": 16, "inner": {"kind": "sequence", "truncation": 4096}},
+        {"kind": "matrix", "n": 4, "inner": {"kind": "sequence", "truncation": 4096}},
+        {"kind": "functions", "points": 2, "inner": {"kind": "sequence", "truncation": 4096}},
     ):
         with pytest.raises(ConfigError):
+            parse_instance(desc)
+
+
+def _nested(kind: str, size_field: str, levels: int) -> dict:
+    desc = {"kind": "complex"}
+    for _ in range(levels):
+        desc = {"kind": kind, size_field: 1, "inner": desc}
+    return desc
+
+
+def test_descriptor_nesting_is_capped_at_numpys_axes():
+    # a batch axis, then 3 axes per matrix level over a non-scalar inner
+    # instance (2 at the innermost) and 1 per sequence or function level
+    deepest = parse_instance(_nested("sequence", "truncation", 31))
+    assert deepest.shape == (1,) * 31
+    assert parse_instance(_nested("functions", "points", 31)).shape == (1,) * 31
+    assert parse_instance(_nested("matrix", "n", 10)).shape == (1,) * 20
+    # the deepest sequence still runs batched products, which broadcast 32 axes
+    assert deloop.finite_collapse_certificate(1, deepest).valid
+    for desc in (
+        _nested("sequence", "truncation", 32),
+        _nested("functions", "points", 32),
+        _nested("matrix", "n", 11),
+        # far past the recursion limit: the chain is walked, not recursed
+        _nested("functions", "points", 100_000),
+    ):
+        with pytest.raises(ConfigError, match="32 axes"):
             parse_instance(desc)
 
 

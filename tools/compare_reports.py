@@ -90,6 +90,15 @@ DEFAULT_EXTRAS = [
         "--instance",
         '{"kind":"matrix","n":3,"inner":{"kind":"sequence","truncation":3}}',
     ],
+    # the largest matrix over an l1 sequence at n = 4 that the work bound
+    # accepts: 4**3 * 512**2 = 2**24
+    [
+        "norm-audit",
+        "--samples",
+        "0",
+        "--instance",
+        '{"kind":"matrix","n":4,"inner":{"kind":"sequence","truncation":512}}',
+    ],
 ]
 
 #: help and parser-error argument lists, compared at every seed like the
