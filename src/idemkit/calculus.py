@@ -258,6 +258,9 @@ def conjugating_unit(
     e: CertifiedIdempotent,
     f: CertifiedIdempotent,
     tol: float,
+    e_norm=None,
+    f_norm=None,
+    distance=None,
 ) -> CertifiedUnit:
     """Certified unit ``u`` with ``e*u = u*f`` for nearby idempotents.
 
@@ -265,10 +268,13 @@ def conjugating_unit(
     ``e*f + (1-e)*(1-f)``, inverted by :func:`neumann_inverse`.  Entries:
     ``intertwine`` (against ``tol * (1 + norm(e) + norm(f))``),
     ``unit-distance`` (against the bound above), and the inversion
-    residuals.
+    residuals.  A caller that has already measured ``norm(e)``,
+    ``norm(f)`` or ``norm(e - f)`` passes it as ``e_norm``, ``f_norm`` or
+    ``distance``, and then it is not measured again.
     """
-    ne, nf = instance.norm(e.e), instance.norm(f.e)
-    dist = instance.distance(e.e, f.e)
+    ne = instance.norm(e.e) if e_norm is None else e_norm
+    nf = instance.norm(f.e) if f_norm is None else f_norm
+    dist = instance.distance(e.e, f.e) if distance is None else distance
     bound = conjugation_bound(ne, dist)
     if bound >= 1:
         raise PreconditionError(

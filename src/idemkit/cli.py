@@ -43,6 +43,7 @@ from .instances import (
     over_complex,
     parse_instance,
     parse_tower,
+    product_work,
     random_almost_idempotent,
 )
 from .report import SCHEMA_VERSION, render_report
@@ -300,9 +301,11 @@ def _run_norm_audit(config: ExperimentConfig, report: dict) -> None:
             f"norm-audit --samples must be between 0 and {MAX_AUDIT_SAMPLES}, got {config.samples}"
         )
     inst = parse_instance({"kind": "complex"} if config.instance is None else config.instance)
-    if (config.samples + 2) * math.prod(inst.shape) > MAX_ELEMENT_ENTRIES:
+    # one row, the products of one sample with all samples + 2, is one call
+    if (config.samples + 2) * product_work(inst) > MAX_ELEMENT_ENTRIES:
         raise ConfigError(
-            f"norm-audit --samples {config.samples} would hold over {MAX_ELEMENT_ENTRIES} entries"
+            f"norm-audit --samples {config.samples} would form or walk over "
+            f"{MAX_ELEMENT_ENTRIES} entries in one row of products"
         )
     rng = np.random.default_rng(config.seed)
     samples = [inst.one(), inst.zero()] + [

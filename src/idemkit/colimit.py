@@ -265,17 +265,23 @@ def transfer_injective(
         u_j = tower.push(u.representative, u.level, j)
         u_j_inv = tower.push(u_inv_rep, u.level, j)
         d = inst.mul(inst.mul(u_j_inv, e_j), u_j)
-        gap = float(inst.distance(d, f_j))
-        if conjugation_bound(inst.norm(d), gap) >= 1:
+        nd, gap = inst.norm(d), inst.distance(d, f_j)
+        if conjugation_bound(nd, gap) >= 1:
             continue
         cert = inst.certificate()
-        cert.add("injective-bound", gap, bound_rhs)
+        cert.add("injective-bound", float(gap), bound_rhs)
         d_cert = certify_idempotent(inst, d, tol)
         f_cert = certify_idempotent(inst, f_j, tol)
-        closing = conjugating_unit(inst, d_cert, f_cert, tol)
+        # each norm measured once: the scan's for d and the gap, one for f_j,
+        # and at the start level e_j is e_i, whose norm is b_e
+        nf = inst.norm(f_j)
+        closing = conjugating_unit(inst, d_cert, f_cert, tol, e_norm=nd, f_norm=nf, distance=gap)
         total = inst.mul(u_j, closing.u)
         total_inv = inst.mul(closing.u_inv, u_j_inv)
-        certify_unit(inst, cert, e_j, f_j, total, total_inv, tol)
+        ne = b_e if j == level else float(inst.norm(e_j))
+        certify_unit(
+            inst, cert, e_j, f_j, total, total_inv, tol, intertwine_rhs=tol * (1 + ne + float(nf))
+        )
         cert.extend(closing.cert, prefix="closing:")
         cert.extend(d_cert.cert, prefix="closing:d:")
         cert.extend(f_cert.cert, prefix="closing:f:")

@@ -193,8 +193,8 @@ def rotation_path(instance: MatrixAlgebra) -> IdempotentPath:
     n = instance.n
     if n < 2:
         raise PathError("rotation path needs size at least 2")
-    p = np.zeros((n, n), dtype=complex)
-    p[0, 0] = 1.0
+    mask = np.zeros(n)
+    mask[0] = 1.0
 
     def sample(t: float):
         angle = math.pi * t / 2
@@ -202,7 +202,8 @@ def rotation_path(instance: MatrixAlgebra) -> IdempotentPath:
         r[0, 0] = r[1, 1] = math.cos(angle)
         r[0, 1] = -math.sin(angle)
         r[1, 0] = math.sin(angle)
-        return r @ p @ r.T
+        # r @ diag(mask) @ r.T in one product
+        return (r * mask) @ r.T
 
     return IdempotentPath(instance, sample, lipschitz_hint=2.0 * math.pi)
 
@@ -294,12 +295,12 @@ def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: floa
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x *= spread / float(instance.norm(x))
-    p = np.zeros((n, n), dtype=complex)
-    idx = rng.permutation(n)[:rank]
-    p[idx, idx] = 1.0
+    mask = np.zeros(n)
+    mask[rng.permutation(n)[:rank]] = 1.0
     nx = float(instance.norm(x))
     try:
-        max_e = float(instance.norm(p)) * math.exp(2 * nx)
+        # the norm of the 0/1 diagonal p, col-l1 or spectral alike
+        max_e = float(mask.max()) * math.exp(2 * nx)
     except OverflowError:
         max_e = math.inf
     hint = 2 * nx * max_e * 1.5
@@ -308,7 +309,8 @@ def conjugation_path(instance: MatrixAlgebra, rank: int, seed: int, spread: floa
 
     def sample(t: float):
         g, ginv = _expm_pair(t * x)
-        return g @ p @ ginv
+        # g @ p @ ginv in one product
+        return (g * mask) @ ginv
 
     return IdempotentPath(instance, sample, lipschitz_hint=hint)
 

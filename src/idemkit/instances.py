@@ -275,14 +275,20 @@ class SequenceAlgebra(Container):
         # truncated convolution, dropping degrees >= truncation: degree k
         # sums x[i] * y[k - i] over i = 0..k in order, one shifted product
         # of whole sequences per i; the operands are broadcast first, since
-        # moving the sequence axis to the front would misalign batch axes
+        # moving the sequence axis to the front would misalign batch axes.
+        # The batch axes that lead one operand only stay outermost in
+        # memory, so that the products of one element with a stack are laid
+        # out as a stack of single products: numpy reduces the sequence
+        # axis of each in the same order, and their norms match bit for bit
         axis = -1 - len(self.inner.shape)
-        xs, ys = (np.moveaxis(v, axis, 0) for v in np.broadcast_arrays(x, y))
-        t = self.truncation
+        lead = abs(np.ndim(x) - np.ndim(y))
+        xs, ys = (np.moveaxis(v, axis, lead) for v in np.broadcast_arrays(x, y))
         out = np.zeros(xs.shape, self.dtype)
+        xs, ys, acc = (np.moveaxis(v, lead, 0) for v in (xs, ys, out))
+        t = self.truncation
         for i in range(t):
-            out[i:] = self.inner.add(out[i:], self._entry_mul(xs[i : i + 1], ys[: t - i]))
-        return np.moveaxis(out, 0, axis)
+            acc[i:] = self.inner.add(acc[i:], self._entry_mul(xs[i : i + 1], ys[: t - i]))
+        return np.moveaxis(out, lead, axis)
 
     def _identity(self):
         out = self.zero()
@@ -414,17 +420,21 @@ def _draw_unit(n: int, rng, spread: float):
 
 
 def conjugated_projector(instance: MatrixAlgebra, rank: int, rng, spread: float = 1.0):
-    """Random idempotent of the given rank: a conjugated 0/1 diagonal."""
+    """Random idempotent of the given rank: a conjugated 0/1 diagonal.
+
+    ``s @ diag(mask)`` is ``s`` with its columns scaled by the mask, so the
+    idempotent is one product, ``(s * mask) @ s_inv``; the diagonal is
+    never built.
+    """
     if not (isinstance(instance, MatrixAlgebra) and over_complex(instance)):
         raise ConfigError("projector generator needs complex matrices")
     n = instance.n
     if not 0 <= rank <= n:
         raise ConfigError("rank out of range")
-    d = np.zeros((n, n), dtype=complex)
-    idx = rng.permutation(n)[:rank]
-    d[idx, idx] = 1.0
+    mask = np.zeros(n)
+    mask[rng.permutation(n)[:rank]] = 1.0
     s, s_inv = _draw_unit(n, rng, spread)
-    return s @ d @ s_inv
+    return (s * mask) @ s_inv
 
 
 def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
@@ -474,9 +484,32 @@ def random_almost_idempotent(instance: MatrixAlgebra, t: float, seed: int):
 TOWER_KINDS = ("uhf", "cantor")
 
 #: the most entries one product of a descriptor may form or walk one at a
-#: time (see :func:`parse_instance`), as for 4096 x 4096 complex matrices; at
-#: least an element's entry count, so it bounds elements and held entries too
+#: time (see :func:`product_work`), as for 4096 x 4096 complex matrices; at
+#: least an element's entry count, so it bounds elements and held entries
+#: too.  ``norm-audit`` bounds by it the work of one row, the products of
+#: one sample with all samples + 2 of them, which it forms in one call
 MAX_ELEMENT_ENTRIES = 4096**2
+
+
+def product_work(instance: AlgebraInstance) -> int:
+    """The work of one product of ``instance``, the entries it forms or
+    walks one at a time, as :func:`parse_instance` counts and bounds it."""
+    work = 1
+    while isinstance(instance, Container):
+        work *= _level_work(type(instance), instance.axes[0], instance.inner)
+        instance = instance.inner
+    return work
+
+
+def _level_work(cls, size: int, inner: AlgebraInstance) -> int:
+    """The factor by which a container level of class ``cls`` and size
+    ``size`` over ``inner`` multiplies the work of an inner product."""
+    if issubclass(cls, MatrixAlgebra):
+        # a BLAS matmul forms only its n**2 outputs; an object matmul, or
+        # one over a non-scalar inner instance, forms all n**3 products
+        return size**2 if isinstance(inner, ComplexScalars) else size**3
+    return size**2 if issubclass(cls, SequenceAlgebra) else size
+
 
 _REQUIRED = object()
 
@@ -487,9 +520,10 @@ def parse_instance(desc: dict) -> AlgebraInstance:
     Accepts the flat form ``{"kind": "matrix", "n": 4, ...}`` and the
     enveloped form ``{"kind": "matrix", "params": {"n": 4, ...}}``, and
     checks field types (booleans are not integers).  The ``inner`` chain
-    is walked without recursion, and before anything is built the work of
-    one product, the entries it forms or walks one at a time, must be at
-    most ``MAX_ELEMENT_ENTRIES``: 1 for a scalar; ``n**2`` for a matrix
+    is walked without recursion and built innermost first.  Before a level
+    is built, the work of one of its products (:func:`product_work`), the
+    entries it forms or walks one at a time, must be at most
+    ``MAX_ELEMENT_ENTRIES``: 1 for a scalar; ``n**2`` for a matrix
     over complex scalars (a BLAS matmul forms only its outputs), ``n**3``
     over scaled integers (an object matmul multiplies entry by entry) and
     ``n**3 * w`` over a non-scalar inner instance of work ``w``; ``points *
@@ -499,7 +533,7 @@ def parse_instance(desc: dict) -> AlgebraInstance:
     may form arrays of at most 32 axes, the most that ``np.broadcast``
     takes (``SequenceAlgebra.mul`` calls it).
     """
-    levels = []  # (kind, size, constructor over the inner instance), outermost first
+    levels = []  # (size, constructor over the inner instance), outermost first
     while True:
         kind, d = _unwrap("instance", desc)
         if kind in ("complex", "scaled-integers"):
@@ -526,22 +560,18 @@ def parse_instance(desc: dict) -> AlgebraInstance:
             raise ConfigError(f"{kind!r} is a tower descriptor; use parse_tower")
         else:
             raise ConfigError(f"unknown instance kind {kind!r}")
-        levels.append((kind, size, build))
+        levels.append((size, build))
         desc = _field(kind, d, "inner", dict, {"kind": "complex"})
     # innermost first, from a batch axis; a size below 1 is refused when built
     work, axes = 1, 1
-    for i, (kind, size, build) in enumerate(reversed(levels)):
-        if kind == "matrix":
-            work *= size**2 if i == 0 and instance is COMPLEX else size**3
-            axes += 2 if i == 0 else 3  # over a scalar x @ y, else n**3 block products
-        else:
-            work *= size**2 if build.func is SequenceAlgebra else size
-            axes += 1
+    for size, build in reversed(levels):
+        work *= _level_work(build.func, size, instance)
+        # over a scalar x @ y, else n**3 block products
+        axes += (3 if instance.shape else 2) if build.func is MatrixAlgebra else 1
         if abs(work) > MAX_ELEMENT_ENTRIES:
             raise ConfigError(f"a product would form or walk over {MAX_ELEMENT_ENTRIES} entries")
         if axes > 32:  # numpy's limit, not a size policy
             raise ConfigError("a product would form arrays of more than 32 axes")
-    for *_, build in reversed(levels):
         instance = build(instance)
     return instance
 

@@ -138,9 +138,10 @@ def are_equivalent(
             return EquivalenceResult("no", witness={"key_e": key_e, "key_f": key_f})
     except ConfigError:
         key_e = key_f = None
-    dist = instance.distance(e.e, f.e)
-    if conjugation_bound(instance.norm(e.e), dist) < 1:
-        return EquivalenceResult("yes", unit=conjugating_unit(instance, e, f, tol))
+    ne, dist = instance.norm(e.e), instance.distance(e.e, f.e)
+    if conjugation_bound(ne, dist) < 1:
+        unit = conjugating_unit(instance, e, f, tol, e_norm=ne, distance=dist)
+        return EquivalenceResult("yes", unit=unit)
     if isinstance(instance, MatrixAlgebra) and over_complex(instance) and key_e is not None:
         return EquivalenceResult(
             "yes", unit=_matrix_conjugator(instance, e, f, int(key_e), tol)

@@ -944,6 +944,22 @@ def test_conjugating_unit_measures_each_endpoint_norm_once(n):
         assert unit[0].cert.entries == _explicit_conjugating_cert(inst, e.e, f.e, 1e-9).entries
 
 
+def test_conjugating_unit_reads_the_norms_a_caller_measured():
+    inst = _CountingMatrices(4)
+    rng = np.random.default_rng(109)
+    p = conjugated_projector(inst, 2, rng, spread=0.4)
+    g = inst.one() + 1e-3 * inst.random_element(rng)
+    e = certify_idempotent(inst, p, 1e-9)
+    f = certify_idempotent(inst, g @ p @ np.linalg.inv(g), 1e-9)
+    measured = {"e_norm": inst.norm(p), "f_norm": inst.norm(f.e), "distance": inst.distance(p, f.e)}
+    units = []
+    fresh = _norm_calls(inst, lambda: units.append(conjugating_unit(inst, e, f, 1e-9)))
+    given = _norm_calls(inst, lambda: units.append(conjugating_unit(inst, e, f, 1e-9, **measured)))
+    assert given == fresh - 3
+    assert units[1].cert.entries == units[0].cert.entries
+    assert np.array_equal(units[1].u, units[0].u)
+
+
 def test_conjugating_unit_entries_on_exact_norms():
     inst = MatrixAlgebra(ScaledIntegers("1/2"), 3)
     e = inst.unit_matrix(0, 0)

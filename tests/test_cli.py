@@ -422,6 +422,11 @@ def _nested(kind: str, size_field: str, levels: int) -> str:
     ],
 )
 def test_work_caps_exit_one_with_one_line_before_allocating(args, capsys):
+    _exits_one_with_one_line_before_allocating(args, capsys)
+
+
+def _exits_one_with_one_line_before_allocating(args, capsys) -> str:
+    """The error line of ``args``, which must exit 1 in under 1 s and 10 MB."""
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -435,6 +440,24 @@ def test_work_caps_exit_one_with_one_line_before_allocating(args, capsys):
     assert err.startswith("idemkit: config error: ")
     assert err.count("\n") == 1
     assert elapsed < 1 and peak < 10 * 2**20
+    return err
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        # 2 * 4096**2 entries walked by one row of l1 convolutions
+        pytest.param('{"kind":"sequence","truncation":4096}', id="l1-4096"),
+        # 2 * 256**3 entry products in one row of object matmuls
+        pytest.param(
+            '{"kind":"matrix","n":256,"inner":{"kind":"scaled-integers"}}',
+            id="matrix-256-over-scaled-integers",
+        ),
+    ],
+)
+def test_norm_audit_row_work_exits_one_naming_samples(instance, capsys):
+    args = ["norm-audit", "--samples", "0", "--instance", instance]
+    assert "--samples" in _exits_one_with_one_line_before_allocating(args, capsys)
 
 
 def test_descriptor_file_too_deep_for_the_json_parser_exits_one(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Certificates, norm axioms and tensor norms."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -39,11 +41,11 @@ from idemkit.instances import (
     SequenceAlgebra,
     conjugated_projector,
     make_uhf_tower,
+    parse_instance,
     random_almost_idempotent,
+    registered_instances,
 )
 from idemkit.k0 import EquivalenceResult, IdempotentClass, are_equivalent, classify
-
-from test_calculus import _CountingMatrices
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +237,78 @@ def test_matrix_axioms_on_random_pairs():
     assert cert.valid  # 64 ordered pairs; slack 1e-9 absorbs roundoff
 
 
+class _CountingNorms(MatrixAlgebra):
+    """Complex matrices that count their ``norms`` calls, the elements
+    those calls measure, and their ``mul`` calls."""
+
+    def __init__(self, n):
+        super().__init__(COMPLEX, n)
+        self.norms_calls = self.measured = self.mul_calls = 0
+
+    def norms(self, x):
+        self.norms_calls += 1
+        self.measured += np.asarray(x).size // (self.n * self.n)
+        return super().norms(x)
+
+    def mul(self, x, y):
+        self.mul_calls += 1
+        return super().mul(x, y)
+
+
 @pytest.mark.parametrize("s", [1, 4, 10])
 def test_norm_audit_measures_each_sample_norm_once(s):
-    inst = _CountingMatrices(3)
+    inst = _CountingNorms(3)
     rng = np.random.default_rng(s)
     samples = [inst.random_element(rng) for _ in range(s)]
-    inst.norm_calls = 0
     check_norm_axioms(inst, samples)
+    # zero and unit; the samples and their negations, one batch each; and
+    # per sample one batch of its sums and one of its products
+    assert inst.norms_calls == 2 + 2 + 2 * s
     # zero and unit, each sample and its negation, each pair's sum and product
-    assert inst.norm_calls == 2 + 2 * s + 2 * s * s
+    assert inst.measured == 2 + 2 * s + 2 * s * s
+    assert inst.mul_calls == s
+
+
+def _pairwise_norm_axioms(instance, samples) -> Certificate:
+    """The audit one pair per call: the oracle of the batched rows."""
+    cert = instance.certificate()
+    cert.add("zero-norm", instance.norm(instance.zero()), 0)
+    measured = [(i, x, instance.norm(x)) for i, x in enumerate(samples)]
+    for i, x, nx in measured:
+        cert.add(f"symmetry[{i}]", abs(instance.norm(instance.neg(x)) - nx), 0)
+    for (i, x, nx), (j, y, ny) in itertools.product(measured, repeat=2):
+        cert.add(f"triangle[{i},{j}]", instance.norm(instance.add(x, y)), nx + ny)
+    cert.add("unit-norm", instance.norm(instance.one()), 1)
+    for (i, x, nx), (j, y, ny) in itertools.product(measured, repeat=2):
+        cert.add(f"submul[{i},{j}]", instance.norm(instance.mul(x, y)), nx * ny)
+    return cert
+
+
+_AUDITED = registered_instances() + [
+    parse_instance(d)
+    for d in (
+        {"kind": "matrix", "n": 3, "norm": "spectral"},
+        {"kind": "sequence", "truncation": 16},
+        {"kind": "matrix", "n": 8, "inner": {"kind": "matrix", "n": 8}},
+        {"kind": "functions", "points": 16},
+        {"kind": "sequence", "truncation": 9, "inner": {"kind": "matrix", "n": 3}},
+        # sequence products batched over block products, at a length that
+        # numpy sums pairwise
+        {"kind": "matrix", "n": 3, "inner": {"kind": "sequence", "truncation": 9}},
+        {"kind": "matrix", "n": 3, "inner": {"kind": "scaled-integers", "r": "1/2"}},
+    )
+]
+
+
+@pytest.mark.parametrize("inst", _AUDITED, ids=lambda inst: json.dumps(inst.describe()))
+def test_norm_audit_rows_match_the_pairwise_oracle_bit_for_bit(inst):
+    rng = np.random.default_rng(5)
+    samples = [inst.one(), inst.zero()] + [inst.random_element(rng) for _ in range(4)]
+    rows, pairs = check_norm_axioms(inst, samples), _pairwise_norm_axioms(inst, samples)
+    exact = lambda cert: [
+        (e.name, repr(e.lhs), type(e.lhs), repr(e.rhs), type(e.rhs)) for e in cert.entries
+    ]
+    assert exact(rows) == exact(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ from idemkit.instances import (
     MatrixAlgebra,
     SampledFunctionAlgebra,
     SequenceAlgebra,
+    _draw_unit,
     cantor_grid,
     conjugated_projector,
     make_cantor_tower,
     make_uhf_tower,
     parse_instance,
     parse_tower,
+    product_work,
     random_almost_idempotent,
     random_unit,
     registered_instances,
@@ -447,6 +449,22 @@ def test_conjugated_projector_needs_no_svd(monkeypatch):
     assert np.array_equal(e, s @ d @ np.linalg.inv(s))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
+def test_conjugated_projector_is_the_dense_diagonal_product(n):
+    # the masked product equals s @ d @ s_inv bit for bit but for the sign
+    # of exact zeros, which == does not tell apart, and draws alike
+    inst = MatrixAlgebra(COMPLEX, n)
+    for rank in sorted({0, 1, n // 2, n}):
+        rng, ref = np.random.default_rng([n, rank]), np.random.default_rng([n, rank])
+        e = conjugated_projector(inst, rank, rng, spread=0.5)
+        d = np.zeros((n, n), dtype=complex)
+        idx = ref.permutation(n)[:rank]
+        d[idx, idx] = 1.0
+        s, s_inv = _draw_unit(n, ref, 0.5)
+        assert np.array_equal(e, s @ d @ s_inv)
+        assert rng.random() == ref.random()
+
+
 def test_random_almost_idempotent_band_contract():
     inst = MatrixAlgebra(COMPLEX, 2)
     a = random_almost_idempotent(inst, 0.09, seed=41)
@@ -568,6 +586,29 @@ def test_descriptor_element_size_is_capped_before_allocation():
     ):
         with pytest.raises(ConfigError):
             parse_instance(desc)
+
+
+def test_product_work_is_the_count_that_parse_instance_bounds():
+    for desc, work in (
+        ({"kind": "complex"}, 1),
+        ({"kind": "scaled-integers", "r": "1/2"}, 1),
+        ({"kind": "matrix", "n": 6}, 6**2),
+        ({"kind": "matrix", "n": 6, "inner": {"kind": "scaled-integers"}}, 6**3),
+        ({"kind": "matrix", "n": 4, "inner": {"kind": "matrix", "n": 2}}, 4**3 * 2**2),
+        ({"kind": "functions", "points": 5, "inner": {"kind": "sequence", "truncation": 3}}, 45),
+        ({"kind": "sequence", "mode": "linf", "truncation": 7}, 7),
+    ):
+        assert product_work(parse_instance(desc)) == work
+    # a norm-audit row at the default 8 samples is 10 products: the largest
+    # sizes it accepts where a product forms more entries than it outputs
+    for desc, largest in (
+        (lambda n: {"kind": "matrix", "n": n, "inner": {"kind": "scaled-integers"}}, 118),
+        (lambda t: {"kind": "matrix", "n": 4, "inner": {"kind": "sequence", "truncation": t}}, 161),
+        (lambda t: {"kind": "sequence", "truncation": t}, 1295),
+    ):
+        for size in (largest, largest + 1):
+            row = 10 * product_work(parse_instance(desc(size)))
+            assert (row <= MAX_ELEMENT_ENTRIES) == (size == largest)
 
 
 def _nested(kind: str, size_field: str, levels: int) -> dict:

@@ -90,14 +90,40 @@ DEFAULT_EXTRAS = [
         "--instance",
         '{"kind":"matrix","n":3,"inner":{"kind":"sequence","truncation":3}}',
     ],
-    # the largest matrix over an l1 sequence at n = 4 that the work bound
-    # accepts: 4**3 * 512**2 = 2**24
+    # the largest matrix over an l1 sequence at n = 4 whose audit row, two
+    # products at --samples 0, the work bound accepts: 2 * 4**3 * 362**2
     [
         "norm-audit",
         "--samples",
         "0",
         "--instance",
-        '{"kind":"matrix","n":4,"inner":{"kind":"sequence","truncation":512}}',
+        '{"kind":"matrix","n":4,"inner":{"kind":"sequence","truncation":362}}',
+    ],
+    # audits whose rows batch each kind of product: a function algebra,
+    # sequences that numpy sums pairwise (from truncation 8), block
+    # products, sequences of matrices and matrices of sequences
+    ["norm-audit", "--instance", '{"kind":"functions","points":64}'],
+    ["norm-audit", "--instance", '{"kind":"sequence","truncation":512}'],
+    [
+        "norm-audit",
+        "--samples",
+        "6",
+        "--instance",
+        '{"kind":"matrix","n":8,"inner":{"kind":"matrix","n":8}}',
+    ],
+    [
+        "norm-audit",
+        "--samples",
+        "4",
+        "--instance",
+        '{"kind":"sequence","truncation":16,"inner":{"kind":"matrix","n":3}}',
+    ],
+    [
+        "norm-audit",
+        "--samples",
+        "4",
+        "--instance",
+        '{"kind":"matrix","n":9,"inner":{"kind":"sequence","truncation":9}}',
     ],
 ]
 
