@@ -91,7 +91,6 @@ from .k0 import (
     K0Presentation,
     are_equivalent,
     classify,
-    direct_sum,
     k0_of_instance,
     normalized_trace_key,
 )

@@ -157,9 +157,6 @@ class Certificate:
                 return e
         raise KeyError(name)
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def valid_for(self, prefixes: Iterable[str]) -> bool:
         """Validity restricted to entries whose name starts with a prefix;
         advisory entries are skipped, as in :attr:`valid`."""

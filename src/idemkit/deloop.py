@@ -1,8 +1,9 @@
 """Desk-scale shadow of the sequence-space endomorphism ring.
 
 Column-finite operators on the l1 module of countable sequences
-(:class:`EndOperator`, the operator type of the corner and the collapse)
-are stored column-sparse, because the operator norm here is a column
+(:class:`EndOperator`: built from columns or as a matrix unit, composed,
+and measured by :func:`end_norm`; the corner is one) are stored
+column-sparse, because the operator norm here is a column
 functional (max over columns of the column sum of entry norms) and is then
 exact for sparse data.  The zeroth-entry corner idempotent cuts out an
 isometric copy of the inner ring; the finite collapse certificate shows
@@ -15,7 +16,8 @@ column, so both run on int32 index arrays rather than on operators: the
 swindle's shifts walk the columns in blocks of ``SWINDLE_BLOCK``, so that
 its working set stays near 1 MB up to the 2**16 support cap, and the
 collapse's single-entry pairs form their values in batched inner products,
-walking them in blocks of ``COLLAPSE_BLOCK`` inner entries.
+walking them in blocks of ``COLLAPSE_BLOCK`` inner entries, and bound the
+work of those ``2n`` products by ``MAX_ELEMENT_ENTRIES``.
 
 Whether the column norm agrees with the sup-ratio operator norm for every
 inner instance is not assumed (it does when the inner norm is attained on
@@ -24,7 +26,6 @@ singletons); certificates use the column norm by definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .core import AlgebraInstance, Certificate, NormValue
 from .errors import ConfigError
-from .instances import COMPLEX, MAX_ELEMENT_ENTRIES
+from .instances import COMPLEX, MAX_ELEMENT_ENTRIES, product_work
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,6 @@ class EndOperator:
         return EndOperator(inner, clean)
 
     @staticmethod
-    def identity(inner: AlgebraInstance, support: int) -> "EndOperator":
-        one = inner.one()
-        return EndOperator(inner, {j: ((j, one),) for j in range(support)})
-
-    @staticmethod
-    def zero(inner: AlgebraInstance) -> "EndOperator":
-        return EndOperator(inner, {})
-
-    @staticmethod
     def matrix_unit(inner: AlgebraInstance, i: int, j: int, value=None) -> "EndOperator":
         value = inner.one() if value is None else value
         return EndOperator.from_columns(inner, {j: ((i, value),)})
@@ -87,25 +79,6 @@ class EndOperator:
         }
         return EndOperator.from_columns(self.inner, out)
 
-    def add(self, *others: "EndOperator") -> "EndOperator":
-        """Sum with any number of operators, merged in one pass."""
-        out: dict[int, list] = {j: list(e) for j, e in self.columns.items()}
-        for other in others:
-            for j, entries in other.columns.items():
-                out.setdefault(j, []).extend(entries)
-        return EndOperator.from_columns(self.inner, out)
-
-    def neg(self) -> "EndOperator":
-        neg = self.inner.neg
-        cols = {j: tuple((i, neg(v)) for i, v in e) for j, e in self.columns.items()}
-        return EndOperator(self.inner, cols)
-
-    def entry(self, i: int, j: int):
-        for r, v in self.columns.get(j, ()):
-            if r == i:
-                return v
-        return self.inner.zero()
-
 
 def end_norm(op: EndOperator) -> NormValue:
     """Max over nonempty columns of the l1 column sum; exact for sparse data."""
@@ -120,17 +93,14 @@ class CornerIdempotent:
     As an operator it is exactly idempotent and its norm equals the norm of
     the inner unit, which is what makes the corner a normed subring with
     the induced norm: compressing by it collapses ``e*b*e`` to the single
-    entry ``b.entry(i, i)``, with ``end_norm(e*b*e) == inner.norm(b[i,i])``,
-    an isometric copy of the inner instance.
+    entry ``b[i,i]``, with ``end_norm(e*b*e) == inner.norm(b[i,i])``, an
+    isometric copy of the inner instance.
     """
 
     index: int = 0
 
     def as_operator(self, inner: AlgebraInstance) -> EndOperator:
         return EndOperator.matrix_unit(inner, self.index, self.index)
-
-    def norm(self, inner: AlgebraInstance) -> NormValue:
-        return end_norm(self.as_operator(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +111,13 @@ class CornerIdempotent:
 class CollapseCertificate:
     """Witness that the two-sided span of the corner is everything at size n.
 
-    ``pairs``, rebuilt from ``n`` and ``inner``, are operators ``(a_k, b_k)``
-    with ``sum_k a_k * e * b_k`` equal to the identity on the first ``n``
-    coordinates, exactly.  So the quotient of the truncated operator ring by
-    the two-sided span of the corner is the zero ring, its idempotent classes
-    are trivial, and only the full column-finite ring sees the delooped class.
+    The pairs are the matrix units ``a_k = E_{k0}`` and ``b_k = E_{0k}``
+    for ``k < n``, with the inner unit as their entry, so that ``sum_k a_k
+    * e * b_k`` is the identity on the first ``n`` coordinates, exactly.  So
+    the quotient of the truncated operator ring by the two-sided span of the
+    corner is the zero ring, its idempotent classes are trivial, and only
+    the full column-finite ring sees the delooped class.  ``cert`` checks
+    that sum against the identity (:func:`finite_collapse_certificate`).
     """
 
     n: int
@@ -156,25 +128,12 @@ class CollapseCertificate:
     def valid(self) -> bool:
         return self.cert.valid
 
-    @property
-    def pairs(self) -> tuple:
-        return tuple(_collapse_pairs(self.n, self.inner))
-
 
 def _collapse_positions(k):
     """Rows and columns ``((a_rows, a_cols), (b_rows, b_cols))`` of the
     pairs ``a_k = E_{k0}`` and ``b_k = E_{0k}``, for an int array ``k``."""
     zero = np.zeros_like(k)
     return (k, zero), (zero, k)
-
-
-def _collapse_pairs(n: int, inner: AlgebraInstance):
-    (a_rows, a_cols), (b_rows, b_cols) = (
-        (rows.tolist(), cols.tolist()) for rows, cols in _collapse_positions(np.arange(n))
-    )
-    for a_row, a_col, b_row, b_col in zip(a_rows, a_cols, b_rows, b_cols):
-        a_k = EndOperator.matrix_unit(inner, a_row, a_col)
-        yield a_k, EndOperator.matrix_unit(inner, b_row, b_col)
 
 
 #: inner entries per block of values in the collapse check
@@ -265,13 +224,17 @@ def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None)
     two batched inner products per block of ``COLLAPSE_BLOCK`` inner
     entries, and no operator composition.  ``corner-norm`` is the norm of
     ``e`` against that of the inner unit.  The ``2n`` products of inner
-    elements may hold at most ``MAX_ELEMENT_ENTRIES`` entries in all.
+    elements are bounded by their work: ``n`` times the work of one
+    (:func:`~idemkit.instances.product_work`, the count that
+    ``parse_instance`` bounds) must be at most ``MAX_ELEMENT_ENTRIES``.
+    That work is at least an element's entry count, so the values held
+    stay within the bound too.
     """
     if not 1 <= n <= 2**16:
         raise ConfigError("truncation size must be between 1 and 2**16")
     inner = COMPLEX if inner is None else inner
-    if n * math.prod(inner.shape) > MAX_ELEMENT_ENTRIES:
-        raise ConfigError(f"truncation size {n} would hold over {MAX_ELEMENT_ENTRIES} inner entries")
+    if n * product_work(inner) > MAX_ELEMENT_ENTRIES:
+        raise ConfigError(f"truncation size {n} would form or walk over {MAX_ELEMENT_ENTRIES} inner entries")
     e = CornerIdempotent(0).as_operator(inner)
     cert = Certificate(slack=0.0)
     cert.add("collapse-identity", _collapse_residual_norm(n, inner, e), 0)

@@ -172,12 +172,6 @@ class MatrixAlgebra(Container):
         # the ufunc reductions that ndarray.sum and ndarray.max dispatch to
         return np.maximum.reduce(np.add.reduce(self.inner.norms(x), axis=-2), axis=-1)
 
-    def unit_matrix(self, i: int, j: int, value=None):
-        """Matrix with a single nonzero entry (the inner unit by default)."""
-        m = self.zero()
-        m[i, j] = self.inner.one() if value is None else value
-        return m
-
     def try_inverse(self, x):
         if not over_complex(self):
             raise NotImplementedError("direct inverse only over complex scalars")
@@ -223,13 +217,6 @@ class SampledFunctionAlgebra(Container):
 
     def norms(self, x):
         return np.maximum.reduce(self.inner.norms(x), axis=-1)
-
-    def indicator(self, points):
-        """Indicator function of a subset of grid points (an idempotent)."""
-        chosen = set(points)
-        out = self.zero()
-        out[np.array([p in chosen for p in self.grid])] = self.inner.one()
-        return out
 
     def try_inverse(self, x):
         if not over_complex(self):

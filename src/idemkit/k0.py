@@ -1,4 +1,4 @@
-"""Idempotent classes, equivalence testing, direct sums and K0 presentations.
+"""Idempotent classes, equivalence testing and K0 presentations.
 
 General conjugacy search is undecidable, so equivalence is decided through
 complete class keys plus explicit unit construction, never by unbounded
@@ -19,7 +19,6 @@ import numpy as np
 from .calculus import (
     CertifiedIdempotent,
     CertifiedUnit,
-    certify_idempotent,
     certify_unit,
     conjugating_unit,
     conjugation_bound,
@@ -197,36 +196,6 @@ def _shear(q, d):
     out = q.copy()
     out[:, r:] += q[:, :r] @ d
     return out
-
-
-# ---------------------------------------------------------------------------
-# direct sums
-
-
-def direct_sum(
-    instance_e: MatrixAlgebra,
-    e: CertifiedIdempotent,
-    instance_f: MatrixAlgebra,
-    f: CertifiedIdempotent,
-    tol: float = 1e-9,
-) -> tuple[MatrixAlgebra, CertifiedIdempotent]:
-    """Block-diagonal idempotent in the matrix algebra of combined size.
-
-    Both summands must live over the same inner instance and norm; the
-    class key is additive under this operation.
-    """
-    if not isinstance(instance_e, MatrixAlgebra) or not isinstance(instance_f, MatrixAlgebra):
-        raise ConfigError("direct_sum needs matrix algebras")
-    if instance_e.inner.describe() != instance_f.inner.describe():
-        raise ConfigError("direct_sum needs the same inner instance")
-    if instance_e.norm_kind != instance_f.norm_kind:
-        raise ConfigError("direct_sum needs the same matrix norm")
-    m, n = instance_e.n, instance_f.n
-    total = MatrixAlgebra(instance_e.inner, m + n, instance_e.norm_kind)
-    block = total.zero()
-    block[:m, :m] = e.e
-    block[m:, m:] = f.e
-    return total, certify_idempotent(total, block, tol)
 
 
 # ---------------------------------------------------------------------------

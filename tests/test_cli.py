@@ -393,6 +393,22 @@ def _nested(kind: str, size_field: str, levels: int) -> str:
             ],
             id="matrix-4096-over-scaled-integers",
         ),
+        # 2n inner products at the work bound each: collapse bounds n times
+        # the work of one product, not the entries of one element
+        pytest.param(
+            [
+                "collapse",
+                "--n",
+                "2",
+                "--instance",
+                '{"kind":"matrix","n":256,"inner":{"kind":"scaled-integers"}}',
+            ],
+            id="collapse-2-matrix-256-over-scaled-integers",
+        ),
+        pytest.param(
+            ["collapse", "--n", "2", "--instance", '{"kind":"sequence","truncation":4096}'],
+            id="collapse-2-l1-4096",
+        ),
         # more axes than numpy takes: 3 per matrix level, 1 per sequence or
         # function level, and the batch axis that collapse's products add
         pytest.param(["norm-audit", "--instance", _nested("matrix", "n", 22)], id="matrix-22"),

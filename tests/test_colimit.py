@@ -109,7 +109,7 @@ def test_exact_idempotent_at_level_zero_round_trips():
 
 def test_cantor_cylinder_recovered_exactly():
     lvl3 = CANTOR5.levels[3]
-    ind = lvl3.indicator({"010"})
+    ind = np.isin(lvl3.grid, ["010"]).astype(complex)
     result = transfer_surjective(CANTOR5, LimitElement(3, ind, 0.0), eps=0.01)
     assert result.level == 3
     assert np.array_equal(result.idempotent.e, ind)
@@ -174,15 +174,15 @@ def test_injective_uhf_swap_example():
     inst_j = UHF4.levels[j]
     assert inst_j.distance(inst_j.mul(e_j, res.unit.u), inst_j.mul(res.unit.u, f_j)) <= 1e-9
     # the closing conjugation's two idempotents keep their defect entries
-    assert res.cert.names()[-2:] == ["closing:d:defect", "closing:f:defect"]
+    assert [e.name for e in res.cert.entries[-2:]] == ["closing:d:defect", "closing:f:defect"]
     entry, oracle = res.cert.entry("closing:f:defect"), _cert(inst_j, f_j).cert.entry("defect")
     assert (entry.lhs, entry.rhs, entry.holds) == (oracle.lhs, oracle.rhs, True)
 
 
 def test_injective_distinct_cylinders_never_conjugate():
     lvl = CANTOR5.levels[2]
-    e = lvl.indicator({"00"})
-    f = lvl.indicator({"11"})
+    e = np.isin(lvl.grid, ["00"]).astype(complex)
+    f = np.isin(lvl.grid, ["11"]).astype(complex)
     with pytest.raises(TowerTooShallowError):
         transfer_injective(
             CANTOR5, 2, _cert(lvl, e), _cert(lvl, f), LimitElement(2, lvl.one(), 0.0), eps=0.01
@@ -194,7 +194,7 @@ def test_injective_distinct_cylinders_never_conjugate():
 
 
 def test_cantor_key_reduces_pushed_vectors():
-    ind = CANTOR5.levels[2].indicator({"01"})
+    ind = np.isin(CANTOR5.levels[2].grid, ["01"]).astype(complex)
     pushed = CANTOR5.push(ind, 2, 5)
     assert level_class_key(CANTOR5, 5, pushed) == level_class_key(CANTOR5, 2, ind)
 
@@ -245,7 +245,7 @@ def test_compare_report_certificates_are_the_transfers_then_round_trip():
     pairs = [f"{kind}[{i}]" for i in range(4) for kind in ("transfer", "unit")]
     assert names == [*pairs, "round-trip"]
     round_trip = report.certificates[-1][1]
-    assert round_trip.names() == ["mismatches"]
+    assert [e.name for e in round_trip.entries] == ["mismatches"]
     assert round_trip.valid
 
 

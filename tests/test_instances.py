@@ -53,7 +53,9 @@ def test_unit_matrix_norm_equals_inner_unit_norm():
         inst = MatrixAlgebra(inner, 3)
         for i in range(3):
             for j in range(3):
-                assert inst.norm(inst.unit_matrix(i, j)) == inner.norm(inner.one())
+                unit = inst.zero()
+                unit[i, j] = inner.one()
+                assert inst.norm(unit) == inner.norm(inner.one())
 
 
 def test_matrix_submultiplicativity_random_pairs():
@@ -232,7 +234,7 @@ def test_one_returns_a_fresh_writable_identity(inst):
 
 def test_sampled_idempotents_are_zero_one_valued():
     inst = SampledFunctionAlgebra(cantor_grid(3), COMPLEX)
-    ind = inst.indicator({"010", "111"})
+    ind = np.isin(inst.grid, ["010", "111"]).astype(complex)
     assert inst.distance(inst.mul(ind, ind), ind) == 0.0
     assert set(np.asarray(ind)) <= {0j, 1 + 0j}
     # conversely, a defect-free sampled element has only 0/1 values
@@ -348,7 +350,7 @@ def test_cantor_tower_shape_and_cylinder_pushforward():
     tower = make_cantor_tower(4)
     assert [lv.size for lv in tower.levels] == [1, 2, 4, 8, 16]
     lvl2 = tower.levels[2]
-    ind = lvl2.indicator({"01"})
+    ind = np.isin(lvl2.grid, ["01"]).astype(complex)
     for j in (3, 4):
         pushed = tower.push(ind, 2, j)
         inst = tower.levels[j]
@@ -598,7 +600,13 @@ def test_product_work_is_the_count_that_parse_instance_bounds():
         ({"kind": "functions", "points": 5, "inner": {"kind": "sequence", "truncation": 3}}, 45),
         ({"kind": "sequence", "mode": "linf", "truncation": 7}, 7),
     ):
-        assert product_work(parse_instance(desc)) == work
+        inst = parse_instance(desc)
+        assert product_work(inst) == work
+        # at least the entries of an element, so a bound on the work of
+        # products (collapse's too) bounds the entries they hold
+        assert work >= math.prod(inst.shape)
+    for inst in registered_instances():
+        assert product_work(inst) >= math.prod(inst.shape)
     # a norm-audit row at the default 8 samples is 10 products: the largest
     # sizes it accepts where a product forms more entries than it outputs
     for desc, largest in (

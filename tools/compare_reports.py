@@ -74,6 +74,17 @@ DEFAULT_EXTRAS = [
     # the largest collapse, and one over a non-scalar inner instance
     ["collapse", "--n", "65536"],
     ["collapse", "--n", "8", "--instance", '{"kind":"matrix","n":2}'],
+    # collapses at the work bound, n times one inner product's work equal
+    # to 4096**2: n = 4096 over 64 x 64 complex matrices (work 64**2), and
+    # n = 1 over 256 x 256 matrices of scaled integers (work 256**3)
+    ["collapse", "--n", "4096", "--instance", '{"kind":"matrix","n":64}'],
+    [
+        "collapse",
+        "--n",
+        "1",
+        "--instance",
+        '{"kind":"matrix","n":256,"inner":{"kind":"scaled-integers"}}',
+    ],
     # the exact collapses: ``int`` norms, and ``Fraction`` norms
     ["collapse", "--n", "8", "--instance", '{"kind":"scaled-integers"}'],
     ["collapse", "--n", "8", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
