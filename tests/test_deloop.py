@@ -92,6 +92,54 @@ def test_collapse_size_one():
     assert cc.cert.entry("collapse-identity").lhs == 0
 
 
+def _explicit_pairs(n, inner):
+    """The collapse's pairs ``(a_k, b_k)`` as operators, at the positions
+    that ``_collapse_positions`` gives, with the inner unit as their entry."""
+    (a_rows, a_cols), (b_rows, b_cols) = (
+        (rows.tolist(), cols.tolist()) for rows, cols in _collapse_positions(np.arange(n))
+    )
+    return [
+        (EndOperator.matrix_unit(inner, a_row, a_col), EndOperator.matrix_unit(inner, b_row, b_col))
+        for a_row, a_col, b_row, b_col in zip(a_rows, a_cols, b_rows, b_cols)
+    ]
+
+
+def _pair_sum(pairs, inner):
+    e = CornerIdempotent(0).as_operator(inner)
+    merged = {}
+    for a_k, b_k in pairs:
+        for j, entries in a_k.compose(e).compose(b_k).columns.items():
+            merged.setdefault(j, []).extend(entries)
+    return EndOperator.from_columns(inner, merged)
+
+
+def test_collapse_size_three_explicit_pairs():
+    cc = finite_collapse_certificate(3)
+    assert cc.valid
+    # pairs are the single-entry operators into and out of coordinate 0
+    pairs = _explicit_pairs(3, COMPLEX)
+    for k, (a_k, b_k) in enumerate(pairs):
+        assert a_k.columns == {0: ((k, 1 + 0j),)}
+        assert b_k.columns == {k: ((0, 1 + 0j),)}
+    assert _pair_sum(pairs, COMPLEX).columns == {j: ((j, 1 + 0j),) for j in range(3)}
+
+    inner = MatrixAlgebra(COMPLEX, 2)
+    cc = finite_collapse_certificate(3, inner)
+    assert cc.valid
+    one = inner.one()
+    pairs = _explicit_pairs(3, inner)
+    for k, (a_k, b_k) in enumerate(pairs):
+        [(a_col, ((a_row, a_val),))] = a_k.columns.items()
+        [(b_col, ((b_row, b_val),))] = b_k.columns.items()
+        assert (a_col, a_row, b_col, b_row) == (0, k, k, 0)
+        assert np.array_equal(a_val, one) and np.array_equal(b_val, one)
+    total = _pair_sum(pairs, inner)
+    assert sorted(total.columns) == [0, 1, 2]
+    for j, entries in total.columns.items():
+        [(row, value)] = entries
+        assert row == j and np.array_equal(value, one)
+
+
 def test_collapse_exact_up_to_sixty_four():
     for n in (2, 16, 64):
         assert finite_collapse_certificate(n).valid

@@ -1,4 +1,4 @@
-"""Class keys, equivalence decisions and K0 presentations."""
+"""Class keys, equivalence decisions, direct sums and K0 presentations."""
 
 from fractions import Fraction
 
@@ -214,6 +214,48 @@ def test_far_route_needs_no_svd_inverse_or_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# direct sums
+
+
+def _direct_sum(instance_e, e, instance_f, f):
+    """The block-diagonal sum of two certified idempotents, certified in
+    the matrix algebra of combined size over the same inner instance."""
+    m, n = instance_e.n, instance_f.n
+    total = MatrixAlgebra(instance_e.inner, m + n, instance_e.norm_kind)
+    block = total.zero()
+    block[:m, :m], block[m:, m:] = e.e, f.e
+    return total, _cert(total, block)
+
+
+def test_direct_sum_with_zero_preserves_rank():
+    rng = np.random.default_rng(17)
+    e = conjugated_projector(M2, 1, rng, spread=0.4)
+    zero2 = MatrixAlgebra(COMPLEX, 2)
+    total, summed = _direct_sum(M2, _cert(M2, e), zero2, _cert(zero2, zero2.zero(), 0))
+    assert total.n == 4
+    assert classify(total, summed).key == 1
+
+
+def test_direct_sum_rank_additivity():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        im, inn = MatrixAlgebra(COMPLEX, m), MatrixAlgebra(COMPLEX, n)
+        e = conjugated_projector(im, int(rng.integers(0, m + 1)), rng, spread=0.4)
+        f = conjugated_projector(inn, int(rng.integers(0, n + 1)), rng, spread=0.4)
+        ce, cf = _cert(im, e), _cert(inn, f)
+        total, summed = _direct_sum(im, ce, inn, cf)
+        assert classify(total, summed).key == classify(im, ce).key + classify(inn, cf).key
+
+
+def test_direct_sum_of_zeros_is_zero():
+    z = _cert(M2, M2.zero(), 0)
+    total, summed = _direct_sum(M2, z, M2, z)
+    assert np.array_equal(summed.e, total.zero())
+    assert classify(total, summed).key == 0
+
+
+# ---------------------------------------------------------------------------
 # K0 presentations
 
 
@@ -254,10 +296,7 @@ def test_group_completion_law_on_keys():
         e = conjugated_projector(M2, int(rng.integers(0, 3)), rng, spread=0.4)
         f = conjugated_projector(M2, int(rng.integers(0, 3)), rng, spread=0.4)
         ce, cf = _cert(M2, e), _cert(M2, f)
-        total = MatrixAlgebra(COMPLEX, 4)
-        block = total.zero()
-        block[:2, :2], block[2:, 2:] = e, f
-        summed = _cert(total, block)
+        total, summed = _direct_sum(M2, ce, M2, cf)
         assert (
             classify(M2, ce).key + classify(M2, cf).key - classify(total, summed).key == 0
         )
