@@ -18,7 +18,6 @@ from .calculus import (
     certify_unit,
     conjugating_unit,
     conjugation_bound,
-    conjugation_threshold,
     corrected_coefficient,
     h_bound,
     intertwiner,
@@ -31,7 +30,6 @@ from .colimit import (
     CompareReport,
     LimitElement,
     colim_norm_bound,
-    default_eps,
     k0_colimit_compare,
     level_class_key,
     transfer_injective,

@@ -208,12 +208,6 @@ def conjugation_bound(e_norm, distance) -> float:
     return 2 * float(e_norm) * float(distance) + float(distance) ** 2
 
 
-def conjugation_threshold(e_norm) -> float:
-    """Largest distance at which :func:`conjugation_bound` stays below 1."""
-    b = float(e_norm)
-    return math.sqrt(b * b + 1) - b
-
-
 def certify_unit(
     instance: AlgebraInstance,
     cert: Certificate,

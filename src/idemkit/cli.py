@@ -60,7 +60,9 @@ class ExperimentConfig:
     Round-trips through ``to_dict``/``from_dict``; unknown fields are
     rejected so a stale config file fails loudly, and so is a field the
     command does not read (see ``_COMMANDS``) that is set off its default,
-    so that it cannot produce a vacuous report.
+    so that it cannot produce a vacuous report.  The same holds for a
+    tolerance on ``transfer --direction sur``, whose transfer certifies at
+    its own.
     """
 
     command: str
@@ -111,6 +113,10 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.command} does not read the config fields {unread}")
+        # the surjective transfer certifies at its own tol, which --tol does not set
+        sur = self.command == "transfer" and self.direction == "sur"
+        if sur and self.tolerance != ExperimentConfig.tolerance:
+            raise ConfigError("transfer --direction sur does not read --tol")
 
     def to_dict(self) -> dict:
         # shallow: dataclasses.asdict would recurse through a deep descriptor

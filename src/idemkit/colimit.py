@@ -7,14 +7,18 @@ that drive the transfers are evaluated as runtime certificate entries:
 ``h(eps) + eps`` for pushing an idempotent class down to a finite level,
 and ``eps * norm(e) * (eps + norm(u) + norm(u_inv))`` for pulling an
 equivalence back.  "Advancing the level" is a deterministic scan from the
-current level upward with a measured approximation error per level.
+current level upward with a measured approximation error per level.  The
+accuracy ``eps`` is the caller's: both transfers require it, and neither
+assumes that it suits the input.  The surjective transfer refuses a
+distance whose proximity conjugation it cannot certify, and the injective
+one refuses a unit whose tail is not below ``eps``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .calculus import (
     certify_unit,
     conjugating_unit,
     conjugation_bound,
-    conjugation_threshold,
     h_bound,
     intertwiner,
     neumann_inverse,
@@ -61,12 +64,6 @@ class LimitElement(NamedTuple):
 def colim_norm_bound(tower: Tower, x: LimitElement) -> float:
     """Certified upper bound for the norm of ``x`` in the colimit."""
     return float(tower.levels[x.level].norm(x.representative)) + x.tail_bound
-
-
-def default_eps(e_norm_bound: float) -> float:
-    """Default transfer accuracy: small enough that the final conjugation
-    step is guaranteed to pass its proximity threshold."""
-    return min(0.01, conjugation_threshold(e_norm_bound) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +107,7 @@ class SurjectiveTransfer(NamedTuple):
 def transfer_surjective(
     tower: Tower,
     e: LimitElement,
-    eps: Optional[float] = None,
+    eps: float,
     tol: float = 1e-12,
 ) -> SurjectiveTransfer:
     """Represent a colimit idempotent by a certified finite-level one.
@@ -122,7 +119,11 @@ def transfer_surjective(
     both define the same class.  The unit's elements are
     :class:`LimitElement` values; its inversion residuals certify the
     representative at its level, and the colimit statements are
-    conditional on ``e.tail_bound``.
+    conditional on ``e.tail_bound``.  A distance whose conjugation bound
+    ``2*norm(e_j)*d + d**2`` is not below 1 raises
+    :class:`PreconditionError`; at ``eps = 0.01``, which every command
+    passes, the certified ``d <= h(eps) + eps`` keeps it below 1 for
+    ``norm(e_j)`` up to about 24.8.
 
     Products already formed are read, not formed again: the lift reads
     the scan's ``a*a`` and the defect measured on it, and the unit
@@ -139,10 +140,6 @@ def transfer_surjective(
     takes four norms: the scan's defect, ``norm(2a - 1)``, ``norm(e_j)``
     and the inversion's ``norm(1 - u)``.
     """
-    norm_e = None
-    if eps is None:
-        norm_e = colim_norm_bound(tower, e)
-        eps = default_eps(norm_e)
     tail = e.tail_bound
     for j in range(e.level, tower.depth + 1):
         a_j = tower.push(e.representative, e.level, j)
@@ -160,8 +157,7 @@ def transfer_surjective(
 
     dist = float(lifted.cert.entry("distance-derived").lhs) + tail
     b_e = float(inst.norm(e_j))
-    if norm_e is None:
-        norm_e = b_e + tail if e_j is e.representative else colim_norm_bound(tower, e)
+    norm_e = b_e + tail if e_j is e.representative else colim_norm_bound(tower, e)
     cert = inst.certificate()
     cert.add("surjective-transfer", dist, h_bound(eps) + eps)
     cert.extend(lifted.cert, prefix="lift:")
@@ -229,7 +225,7 @@ def transfer_injective(
     e_i: CertifiedIdempotent,
     f_i: CertifiedIdempotent,
     u: LimitElement,
-    eps: Optional[float] = None,
+    eps: float,
     tol: float = 1e-9,
 ) -> InjectiveTransfer:
     """Turn a colimit conjugacy into an exact conjugacy at a finite level.
@@ -241,7 +237,8 @@ def transfer_injective(
     remaining gap by a proximity conjugation, composing both units into
     one exact-level conjugator.  The closing conjugation's entries, and the
     defects of the idempotents it joins, are recorded as ``closing:``,
-    ``closing:d:`` and ``closing:f:`` entries.
+    ``closing:d:`` and ``closing:f:`` entries.  A unit whose tail is not
+    below ``eps`` raises :class:`TowerTooShallowError` before the scan.
     """
     inst_u = tower.levels[u.level]
     u_inv_rep = inst_u.try_inverse(u.representative)
@@ -249,8 +246,6 @@ def transfer_injective(
     nu = colim_norm_bound(tower, u)
     nu_inv_rep = float(inst_u.norm(u_inv_rep))
     nu_inv = nu_inv_rep + _inverse_tail(nu_inv_rep, u.tail_bound)
-    if eps is None:
-        eps = max(default_eps(b_e), 2 * u.tail_bound)
     if u.tail_bound >= eps:
         raise TowerTooShallowError(
             f"tower too shallow: unit tail {u.tail_bound} never drops below eps = {eps}"
@@ -312,10 +307,6 @@ class CompareReport:
     mismatches: int
     records: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
-
-    @property
-    def all_certificates_valid(self) -> bool:
-        return all(cert.valid for _, cert in self.certificates)
 
     def to_json(self) -> dict:
         return {"tower": self.tower, "trials": self.trials, "records": self.records}

@@ -187,7 +187,10 @@ class AlgebraInstance(ABC):
     ``exact = True`` when its arithmetic and norm are exact rationals
     (``dtype=object`` holding Python ints, norms as ``int`` or ``Fraction``);
     floating instances carry ``slack``, the absolute tolerance added to
-    certified right-hand sides.
+    certified right-hand sides.  Whether the ring axioms (unit norm at most
+    1, submultiplicativity) hold is measured, not declared:
+    :func:`check_norm_axioms` audits them on any instance, containers over
+    a normed group that is no ring included.
 
     All operations are pure; instances are immutable after construction and
     safe to share between threads.
@@ -196,9 +199,6 @@ class AlgebraInstance(ABC):
     kind: str = "abstract"
     exact: bool = False
     slack: float = DEFAULT_FLOAT_SLACK
-    #: whether the multiplicative axioms (submultiplicativity, unit norm)
-    #: are part of this instance's contract
-    is_banach_ring: bool = True
     #: whether the norm reads only the magnitudes of the scalar entries, so
     #: that ``norm(-x) == norm(x)`` bit for bit; a floating spectral norm
     #: meets the symmetry axiom only up to rounding
@@ -292,7 +292,6 @@ class ScaledIntegers(AlgebraInstance):
         if r <= 0:
             raise ConfigError("scale must be positive")
         self.r = r.numerator if r.denominator == 1 else r
-        self.is_banach_ring = r == 1
 
     def one(self) -> int:
         return 1

@@ -63,9 +63,9 @@ class EndOperator:
         return EndOperator(inner, clean)
 
     @staticmethod
-    def matrix_unit(inner: AlgebraInstance, i: int, j: int, value=None) -> "EndOperator":
-        value = inner.one() if value is None else value
-        return EndOperator.from_columns(inner, {j: ((i, value),)})
+    def matrix_unit(inner: AlgebraInstance, i: int, j: int) -> "EndOperator":
+        """The inner unit at row ``i`` of column ``j``."""
+        return EndOperator.from_columns(inner, {j: ((i, inner.one()),)})
 
     def compose(self, other: "EndOperator") -> "EndOperator":
         """``self`` after ``other``; column-finite composition."""

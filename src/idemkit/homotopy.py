@@ -42,14 +42,17 @@ from .k0 import classify
 #: a segment is accepted when its two samples are at most this far apart
 SEGMENT_GAP = 0.25
 
+#: a path sample is accepted when its idempotent defect is at most this
+SAMPLE_TOL = 1e-9
+
 
 @dataclass
 class IdempotentPath:
     """A sampled path ``t -> e(t)`` of idempotents with a Lipschitz hint.
 
     Every sample is certified once, on first use: its defect certificate
-    against ``sample_tol`` is formed from the one product ``e*e`` and kept,
-    and a defect that is not at most ``sample_tol`` (NaN included) aborts
+    against ``SAMPLE_TOL`` is formed from the one product ``e*e`` and kept,
+    and a defect that is not at most ``SAMPLE_TOL`` (NaN included) aborts
     with a diagnostic.  The hint is validated on every sampled pair, and a
     violation aborts too, rather than returning an uncertified unit.
     """
@@ -57,7 +60,6 @@ class IdempotentPath:
     instance: AlgebraInstance
     sampler: Callable[[float], object]
     lipschitz_hint: float
-    sample_tol: float = 1e-9
     _certified: dict = field(default_factory=dict, repr=False)
 
     def at(self, t: float):
@@ -66,9 +68,9 @@ class IdempotentPath:
     def certified(self, t: float) -> CertifiedIdempotent:
         """The sample at ``t`` with its defect certificate, formed on first use."""
         if t not in self._certified:
-            sample = certify_idempotent(self.instance, self.sampler(t), self.sample_tol)
+            sample = certify_idempotent(self.instance, self.sampler(t), SAMPLE_TOL)
             defect = float(sample.defect)
-            if not defect <= self.sample_tol:  # NaN fails too
+            if not defect <= SAMPLE_TOL:  # NaN fails too
                 raise PathError(
                     f"path sample at t={t} fails the idempotent check: defect {defect}"
                 )

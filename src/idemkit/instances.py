@@ -241,20 +241,15 @@ class SequenceAlgebra(Container):
     too large for a normed ring, while convolution keeps the norm
     submultiplicative and the unit norm equal to the inner unit's.  The
     sup-norm, coordinatewise variant is ``SampledFunctionAlgebra`` on
-    ``range(truncation)``; only mode ``"l1"`` is accepted here.
+    ``range(truncation)``, which :func:`parse_instance` builds for a
+    ``"linf"`` descriptor; ``describe()`` writes mode ``"l1"``.
     """
 
     kind = "sequence"
 
-    def __init__(self, mode: str, truncation: int, inner: AlgebraInstance):
-        if mode != "l1":
-            raise ConfigError(
-                f"unknown sequence mode {mode!r}; sup-norm sequences are "
-                "SampledFunctionAlgebra(range(truncation), inner)"
-            )
+    def __init__(self, truncation: int, inner: AlgebraInstance):
         if truncation < 1:
             raise ConfigError("truncation must be positive")
-        self.mode = mode
         self.truncation = truncation
         super().__init__(inner, (truncation,))
 
@@ -288,7 +283,7 @@ class SequenceAlgebra(Container):
     def describe(self) -> dict:
         return {
             "kind": self.kind,
-            "mode": self.mode,
+            "mode": "l1",
             "truncation": self.truncation,
             "inner": self.inner.describe(),
         }
@@ -540,9 +535,12 @@ def parse_instance(desc: dict) -> AlgebraInstance:
         elif kind == "sequence":
             _reject_extras(kind, d, ("mode", "truncation", "inner"))
             mode, size = _field(kind, d, "mode", str, "l1"), _field(kind, d, "truncation", int, 8)
-            build = functools.partial(SequenceAlgebra, mode, size)
-            if mode == "linf":
+            if mode == "l1":
+                build = functools.partial(SequenceAlgebra, size)
+            elif mode == "linf":
                 build = functools.partial(SampledFunctionAlgebra, range(size))
+            else:
+                raise ConfigError(f"unknown sequence mode {mode!r}; use 'l1' or 'linf'")
         elif kind in TOWER_KINDS:
             raise ConfigError(f"{kind!r} is a tower descriptor; use parse_tower")
         else:
@@ -607,7 +605,7 @@ def _reject_extras(kind: str, d: dict, allowed: tuple) -> None:
 def registered_instances() -> list[AlgebraInstance]:
     """The standard zoo audited by the norm-axiom acceptance test.
 
-    Only instances claiming the full ring contract appear here; scaled
+    Only instances that meet the full ring contract appear here; scaled
     integers with scale other than 1 are normed groups whose deliberately
     failing ring axioms are exercised separately.
     """
@@ -620,6 +618,6 @@ def registered_instances() -> list[AlgebraInstance]:
         MatrixAlgebra(ScaledIntegers(1), 2),
         MatrixAlgebra(MatrixAlgebra(COMPLEX, 2), 2),
         SampledFunctionAlgebra(cantor_grid(2), COMPLEX),
-        SequenceAlgebra("l1", 6, COMPLEX),
+        SequenceAlgebra(6, COMPLEX),
         SampledFunctionAlgebra(range(6), COMPLEX),
     ]

@@ -75,7 +75,7 @@ def test_neumann_precondition_failure():
 def test_neumann_precondition_reads_the_norm_not_the_spectrum():
     # in a truncated sequence algebra the shift x is nilpotent, so 1 - x is
     # invertible, but norm(x) = 1 leaves the series without a certificate
-    inst = SequenceAlgebra("l1", 4, COMPLEX)
+    inst = SequenceAlgebra(4, COMPLEX)
     x = np.array([0, 1, 0, 0], dtype=complex)
     with pytest.raises(PreconditionError, match="not below 1"):
         neumann_inverse(inst, inst.sub(inst.one(), x), 1e-9)
@@ -96,7 +96,7 @@ def test_neumann_residuals_within_tail_on_random_contractions():
     # and over a convolution algebra: u = 1 + (a - head) with an l1 tail of
     # 0.3 in degrees 4 to 7, whose square truncates to 0, so 1 - (a - head)
     # is the exact inverse
-    inst = SequenceAlgebra("l1", 8, COMPLEX)
+    inst = SequenceAlgebra(8, COMPLEX)
     head = np.array([0.2, 0.1, 0.05, 0.05, 0, 0, 0, 0], dtype=complex)
     a = head + np.array([0, 0, 0, 0, 0.1, 0.1, 0.05, 0.05], dtype=complex)
     unit = neumann_inverse(inst, inst.add(inst.one(), inst.sub(a, head)), 1e-10)

@@ -510,6 +510,9 @@ def test_trials_up_to_the_cap_are_accepted():
         pytest.param(["transfer", "--direction", "inj", "--eps", "nan"], "eps", id="eps-nan"),
         pytest.param(["transfer", "--direction", "sur", "--eps", "0.25"], "eps", id="eps-quarter"),
         pytest.param(["transfer", "--eps", "0"], "eps", id="eps-0"),
+        # the surjective transfer certifies at its own tol, the default direction included
+        pytest.param(["transfer", "--direction", "sur", "--tol", "1e-300"], "--tol", id="sur-tol"),
+        pytest.param(["transfer", "--tol", "1e-3"], "--tol", id="default-direction-tol"),
         pytest.param(["norm-audit", "--samples", "65"], "--samples", id="samples-65"),
         pytest.param(["norm-audit", "--samples", "-1"], "--samples", id="samples-negative"),
         # 12 elements of 4096 x 4096 entries each
@@ -530,6 +533,21 @@ def test_vacuous_or_oversized_knobs_exit_one_with_one_line(args, setting, capsys
     assert setting in err
 
 
+def test_only_the_injective_transfer_reads_tol(tmp_path):
+    out = tmp_path / "report.json"
+    base = ["transfer", "--trials", "3", "--seed", "7", "--out", str(out)]
+    assert main([*base, "--direction", "inj", "--tol", "1e-300"]) == 0
+    assert json.loads(out.read_text())["config"]["tolerance"] == 1e-300
+    # the default tolerance, set or not, is accepted on the surjective side
+    assert main([*base, "--direction", "sur", "--tol", "1e-9"]) == 0
+
+
+def test_an_unknown_sequence_mode_exits_one_with_one_line(capsys):
+    assert main(["norm-audit", "--instance", '{"kind":"sequence","mode":"l2"}']) == 1
+    err = capsys.readouterr().err
+    assert err == "idemkit: config error: unknown sequence mode 'l2'; use 'l1' or 'linf'\n"
+
+
 def test_k0_on_functions_samples_bit_vectors(tmp_path):
     out = tmp_path / "k0f.json"
     assert main(["k0", "--instance", '{"kind":"functions","points":4}', "--out", str(out)]) == 0
@@ -546,6 +564,18 @@ def _readme_command_lines() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("idemkit ")]
+
+
+def test_readme_library_example_runs_verbatim(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    start = time.perf_counter()
+    exec(compile(block, "README.md", "exec"), {})
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    # the rank-2 projector at uhf level 6 stays at level 6, normalized trace 2/64
+    assert len(lines) == 3 and lines[-1] == "6 1/32"
+    assert elapsed < 1.0
 
 
 def test_readme_shows_every_command():

@@ -9,6 +9,7 @@ from idemkit import homotopy
 from idemkit.calculus import certify_idempotent, certify_unit, intertwiner
 from idemkit.errors import ConfigError, PathError
 from idemkit.homotopy import (
+    SAMPLE_TOL,
     IdempotentPath,
     conjugation_path,
     homotopy_invariance_experiment,
@@ -180,7 +181,7 @@ def _paths():
 def test_trivialization_equals_the_explicit_composition_from_one(path):
     unit = path_trivialize(path, tol=1e-8)
     inst, points = path.instance, sorted(path._certified)
-    samples = [certify_idempotent(inst, path.at(t), path.sample_tol) for t in points]
+    samples = [certify_idempotent(inst, path.at(t), SAMPLE_TOL) for t in points]
     assert [s.cert for s in samples] == [path.certified(t).cert for t in points]
     u = inst.one()
     for ce, cf in zip(samples, samples[1:]):

@@ -95,6 +95,10 @@ DEFAULT_EXTRAS = [
     ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
     # a sequence algebra, which no README command builds
     ["norm-audit", "--instance", '{"kind":"sequence","truncation":4}'],
+    # both modes of the sequence descriptor: the l1 convolution algebra, and
+    # "linf", which parse_instance builds as functions on range(truncation)
+    ["norm-audit", "--instance", '{"kind":"sequence","mode":"l1","truncation":8}'],
+    ["norm-audit", "--instance", '{"kind":"sequence","mode":"linf","truncation":8}'],
     # sequence products batched over the block products of a matrix
     [
         "norm-audit",
