@@ -113,7 +113,7 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.command} does not read the config fields {unread}")
-        # the surjective transfer certifies at its own tol, which --tol does not set
+        # the surjective transfer certifies at colimit.SURJECTIVE_TOL, not --tol
         sur = self.command == "transfer" and self.direction == "sur"
         if sur and self.tolerance != ExperimentConfig.tolerance:
             raise ConfigError("transfer --direction sur does not read --tol")

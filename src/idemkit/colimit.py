@@ -92,6 +92,9 @@ def level_class_key(tower: Tower, level: int, e):
 # ---------------------------------------------------------------------------
 # surjective transfer: colimit idempotent -> finite level
 
+# the tolerance of the surjective transfer's lift, intertwining and inversion
+SURJECTIVE_TOL = 1e-12
+
 
 class SurjectiveTransfer(NamedTuple):
     """Outcome of :func:`transfer_surjective`: the level reached, the
@@ -108,7 +111,6 @@ def transfer_surjective(
     tower: Tower,
     e: LimitElement,
     eps: float,
-    tol: float = 1e-12,
 ) -> SurjectiveTransfer:
     """Represent a colimit idempotent by a certified finite-level one.
 
@@ -130,11 +132,11 @@ def transfer_surjective(
     ``1 - e - a + 2*e*a`` reads the ``e*a`` that the lift's ``commute``
     entry was measured on (``a*a`` itself when no Newton step is needed).
     For an exact level idempotent the whole round trip is then that one
-    product, since the unit is within ``tol`` of 1 and its inverse is 1.
-    Norms are read the same way, and a norm that only a zero tail
-    multiplies is not measured: the ``surjective-transfer`` lhs is the
-    lift's ``distance-derived`` lhs plus the tail, the input's colimit
-    norm is ``norm(e_j)`` plus the tail when ``e_j`` is the input
+    product, since the unit is within ``SURJECTIVE_TOL`` of 1 and its
+    inverse is 1.  Norms are read the same way, and a norm that only a
+    zero tail multiplies is not measured: the ``surjective-transfer`` lhs
+    is the lift's ``distance-derived`` lhs plus the tail, the input's
+    colimit norm is ``norm(e_j)`` plus the tail when ``e_j`` is the input
     representative, and ``norm(1 - e_j)`` and ``norm(u_inv)`` are measured
     only for a nonzero tail.  An exact level idempotent at its own level so
     takes four norms: the scan's defect, ``norm(2a - 1)``, ``norm(e_j)``
@@ -152,7 +154,7 @@ def transfer_surjective(
         raise TowerTooShallowError(
             f"tower too shallow: no level has defect + 2*tail below eps = {eps}"
         )
-    lifted, ea = _lift(inst, a_j, a_sq, "corrected", tol, defect)
+    lifted, ea = _lift(inst, a_j, a_sq, "corrected", SURJECTIVE_TOL, defect)
     e_j = lifted.e
 
     dist = float(lifted.cert.entry("distance-derived").lhs) + tail
@@ -183,9 +185,9 @@ def transfer_surjective(
     unit_cert.add(
         "intertwine",
         float(lifted.cert.entry("defect").lhs) * (2 * norm_e + 1),
-        tol * (1 + b_e + norm_e),
+        SURJECTIVE_TOL * (1 + b_e + norm_e),
     )
-    inverted = neumann_inverse(inst, u_rep, tol)
+    inverted = neumann_inverse(inst, u_rep, SURJECTIVE_TOL)
     unit_cert.extend(inverted.cert)
     tail_v = _inverse_tail(float(inst.norm(inverted.u_inv)), tail_u) if tail_u else 0.0
     unit = CertifiedUnit(

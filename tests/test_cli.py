@@ -569,12 +569,17 @@ def _readme_command_lines() -> list[str]:
 def test_readme_library_example_runs_verbatim(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
     start = time.perf_counter()
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(block, "README.md", "exec"), ns)
     elapsed = time.perf_counter() - start
     lines = capsys.readouterr().out.splitlines()
     # the rank-2 projector at uhf level 6 stays at level 6, normalized trace 2/64
     assert len(lines) == 3 and lines[-1] == "6 1/32"
+    # its colimit norm is about 18.3, the largest of any transfer test, and
+    # eps = 0.01 still certifies both the transfer and the conjugating unit
+    result = ns["result"]
+    assert result.cert.valid and result.unit.cert.valid
     assert elapsed < 1.0
 
 

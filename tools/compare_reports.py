@@ -93,11 +93,10 @@ DEFAULT_EXTRAS = [
     ["norm-audit"],
     ["norm-audit", "--instance", '{"kind":"matrix","n":3,"norm":"spectral"}', "--samples", "16"],
     ["norm-audit", "--instance", '{"kind":"scaled-integers","r":"1/2"}'],
-    # a sequence algebra, which no README command builds
-    ["norm-audit", "--instance", '{"kind":"sequence","truncation":4}'],
-    # both modes of the sequence descriptor: the l1 convolution algebra, and
-    # "linf", which parse_instance builds as functions on range(truncation)
-    ["norm-audit", "--instance", '{"kind":"sequence","mode":"l1","truncation":8}'],
+    # both modes of the sequence descriptor, which no README command builds:
+    # the l1 convolution algebra, and "linf", which parse_instance builds as
+    # functions on range(truncation)
+    ["norm-audit", "--instance", '{"kind":"sequence","mode":"l1","truncation":4}'],
     ["norm-audit", "--instance", '{"kind":"sequence","mode":"linf","truncation":8}'],
     # sequence products batched over the block products of a matrix
     [
