@@ -53,16 +53,29 @@ from .report import SCHEMA_VERSION, render_report
 MAX_TRIALS = 10_000
 
 
+#: what each field annotation admits, and its name in an error; a bool is
+#: an int to Python, so a JSON true or false is refused separately
+_ANNOTATIONS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "dict": (dict, "a JSON object"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: command, descriptors, seed and knobs.
 
+    Every field is checked against its annotation, then its range.
     Round-trips through ``to_dict``/``from_dict``; unknown fields are
     rejected so a stale config file fails loudly, and so is a field the
     command does not read (see ``_COMMANDS``) that is set off its default,
     so that it cannot produce a vacuous report.  The same holds for a
     tolerance on ``transfer --direction sur``, whose transfer certifies at
-    its own.
+    its own.  So the fields a command reads rebuild its run, and they are
+    all that a report's ``config`` block holds (less ``out`` and
+    ``format``).
     """
 
     command: str
@@ -83,28 +96,28 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self):
+        # field types are the annotation strings of a postponed evaluation
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removeprefix("Optional[").removesuffix("]")
+            if value is None and kind != f.type:
+                continue
+            admitted, noun = _ANNOTATIONS[kind]
+            if isinstance(value, bool) or not isinstance(value, admitted):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.format!r}")
-        for name in ("instance", "tower"):
-            if not isinstance(getattr(self, name), (dict, type(None))):
-                raise ConfigError(f"the {name} descriptor must be a JSON object")
-        # a JSON true or false would otherwise pass as the number 1 or 0
-        # (field types are the annotation strings of a postponed evaluation)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "float") and isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number, not a boolean: {value!r}")
         # numpy's generators take no negative seed
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
+        if not 0 < self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         # h_bound(eps) is defined only below 1/4; one range serves both directions
-        if not (isinstance(self.eps, (int, float)) and 0 < self.eps < 0.25):
+        if not 0 < self.eps < 0.25:
             raise ConfigError(f"eps must satisfy 0 < eps < 1/4, got {self.eps!r}")
-        if not (isinstance(self.trials, int) and 1 <= self.trials <= MAX_TRIALS):
+        if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials!r}")
         unread = [
             f.name
@@ -128,23 +141,30 @@ class ExperimentConfig:
         extras = set(d) - known
         if extras:
             raise ConfigError(f"unknown config fields: {sorted(extras)}")
+        if "command" not in d:
+            raise ConfigError("a config needs its command")
         return ExperimentConfig(**d)
 
 
 def _report_skeleton(config: ExperimentConfig) -> dict:
-    cfg = config.to_dict()
-    cfg.pop("out")
-    cfg.pop("format")
+    """The report before the command runs: its ``config`` block holds only
+    the fields the command reads, besides where and how it is written."""
+    read = _READ_FIELDS[config.command] - {"out", "format"}
     return {
         "schema": SCHEMA_VERSION,
         "command": config.command,
-        "config": cfg,
+        "config": {k: v for k, v in config.to_dict().items() if k in read},
         "certificates": [],
     }
 
 
 # ---------------------------------------------------------------------------
 # command bodies
+
+
+def _complex_pairs(x) -> list:
+    """A complex scalar or array as JSON: each entry an ``[re, im]`` pair."""
+    return np.stack([np.real(x), np.imag(x)], -1).tolist()
 
 
 def _run_lift(config: ExperimentConfig, report: dict) -> None:
@@ -159,12 +179,8 @@ def _run_lift(config: ExperimentConfig, report: dict) -> None:
     a_sq = inst.mul(a, a)
     defect = inst.distance(a_sq, a)
     lifted = calculus._lift(inst, a, a_sq, config.variant, config.tolerance, defect)[0]
-    report["input"] = {
-        "element": inst.serialize_element(a),
-        "defect": float(defect),
-        "variant": config.variant,
-    }
-    report["output_element"] = inst.serialize_element(lifted.e)
+    report["input"] = {"element": _complex_pairs(a), "defect": float(defect)}
+    report["output_element"] = _complex_pairs(lifted.e)
     report["certificates"].append(("lift", lifted.cert))
 
 
@@ -269,35 +285,16 @@ def _run_path_trivialize(config: ExperimentConfig, report: dict) -> None:
     else:
         raise ConfigError(f"unknown path kind {config.path!r}")
     unit = homotopy.path_trivialize(path, tol=config.tolerance)
-    report["path"] = {
-        "kind": config.path,
-        "n": config.n,
-        "note": (
-            "certifies class constancy along the path by composing proximity "
-            "conjugations; splitting the path ring itself into restriction "
-            "pieces has no finite model and is out of scope"
-        ),
-    }
     report["certificates"].append(("trivialization", unit.cert))
 
 
 def _run_swindle(config: ExperimentConfig, report: dict) -> None:
-    swindle = deloop.swindle_conjugator(config.support)
-    report["swindle"] = swindle.to_json()
-    report["certificates"].append(("swindle", swindle.cert))
+    report["certificates"].append(("swindle", deloop.swindle_conjugator(config.support).cert))
 
 
 def _run_collapse(config: ExperimentConfig, report: dict) -> None:
     inner = COMPLEX if config.instance is None else parse_instance(config.instance)
     collapse = deloop.finite_collapse_certificate(config.n, inner)
-    report["collapse"] = {
-        "n": collapse.n,
-        "pairs": collapse.n,
-        "note": (
-            "the two-sided span of the corner covers the whole truncated ring, "
-            "so the quotient has trivial idempotent classes at this size"
-        ),
-    }
     report["certificates"].append(("collapse", collapse.cert))
 
 
@@ -456,8 +453,6 @@ def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for flag in (*_COMMON_FLAGS, *flags):
             p.add_argument(flag, **_FLAGS[flag])
-        if command == "collapse":
-            p.set_defaults(n=16)  # path-trivialize keeps the config's n = 2
     return parser
 
 

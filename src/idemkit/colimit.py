@@ -296,7 +296,8 @@ def transfer_injective(
 class CompareReport:
     """Outcome of :func:`k0_colimit_compare`.
 
-    ``records`` holds one JSON record per trial: its inputs and class keys.
+    ``records`` holds one JSON record per trial, its inputs and class keys,
+    so their count is the trial count.
     ``certificates`` holds ``(name, Certificate)`` pairs, left out of
     ``to_json``: for each trial ``i``, its transfer certificate as
     ``transfer[i]`` and its conjugating unit's certificate as ``unit[i]``,
@@ -305,13 +306,12 @@ class CompareReport:
     """
 
     tower: dict
-    trials: int
     mismatches: int
     records: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"tower": self.tower, "trials": self.trials, "records": self.records}
+        return {"tower": self.tower, "records": self.records}
 
 
 def _random_level_idempotent(tower: Tower, level: int, rng, almost: bool):
@@ -345,7 +345,7 @@ def k0_colimit_compare(tower: Tower, trials: int, seed: int, eps: float = 0.01) 
     tail 0, transfers it back to a finite level, and compares the
     colimit-normalized class keys.  The mismatch count must be 0.
     """
-    report = CompareReport(tower=tower.describe(), trials=trials, mismatches=0)
+    report = CompareReport(tower=tower.describe(), mismatches=0)
     for idx in range(trials):
         rng = np.random.default_rng([seed, idx])
         level = int(rng.integers(0, tower.depth + 1))

@@ -239,9 +239,6 @@ class AlgebraInstance(ABC):
     def random_element(self, rng): ...
 
     @abstractmethod
-    def serialize_element(self, x): ...
-
-    @abstractmethod
     def describe(self) -> dict:
         """JSON descriptor, e.g. ``{"kind": "matrix", "n": 4, ...}``."""
 
@@ -307,9 +304,6 @@ class ScaledIntegers(AlgebraInstance):
 
     def random_element(self, rng) -> int:
         return int(rng.integers(-9, 10))
-
-    def serialize_element(self, x: int) -> int:
-        return int(x)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "r": _norm_to_json(self.r)}

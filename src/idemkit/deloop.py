@@ -117,11 +117,10 @@ class CollapseCertificate:
     the quotient of the truncated operator ring by the two-sided span of the
     corner is the zero ring, its idempotent classes are trivial, and only
     the full column-finite ring sees the delooped class.  ``cert`` checks
-    that sum against the identity (:func:`finite_collapse_certificate`).
+    that sum against the identity (:func:`finite_collapse_certificate`);
+    the size and the inner instance are the caller's inputs, not kept here.
     """
 
-    n: int
-    inner: AlgebraInstance
     cert: Certificate
 
     @property
@@ -239,7 +238,7 @@ def finite_collapse_certificate(n: int, inner: Optional[AlgebraInstance] = None)
     cert = Certificate(slack=0.0)
     cert.add("collapse-identity", _collapse_residual_norm(n, inner, e), 0)
     cert.add("corner-norm", end_norm(e), inner.norm(inner.one()))
-    return CollapseCertificate(n=n, inner=inner, cert=cert)
+    return CollapseCertificate(cert)
 
 
 # ---------------------------------------------------------------------------

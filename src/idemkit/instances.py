@@ -54,9 +54,6 @@ class ComplexScalars(AlgebraInstance):
     def random_element(self, rng):
         return complex(rng.standard_normal(), rng.standard_normal())
 
-    def serialize_element(self, x):
-        return [float(x.real), float(x.imag)]
-
     def describe(self) -> dict:
         return {"kind": self.kind}
 
@@ -123,10 +120,6 @@ class Container(AlgebraInstance):
         entries = [self.inner.random_element(rng) for _ in range(math.prod(self.axes))]
         return np.array(entries, dtype=self.dtype).reshape(self.shape)
 
-    def serialize_element(self, x):
-        # the entries along one axis; MatrixAlgebra lists its rows instead
-        return [self.inner.serialize_element(v) for v in x]
-
 
 class MatrixAlgebra(Container):
     """Square matrices over an inner instance.
@@ -176,9 +169,6 @@ class MatrixAlgebra(Container):
         if not over_complex(self):
             raise NotImplementedError("direct inverse only over complex scalars")
         return np.linalg.inv(x)
-
-    def serialize_element(self, x):
-        return [[self.inner.serialize_element(v) for v in row] for row in x]
 
     def describe(self) -> dict:
         return {

@@ -2,11 +2,14 @@
 
 A report is a dictionary of JSON values except for ``"certificates"``, a
 list of ``(name, Certificate)`` pairs.  Every certificate fact, an entry's
-value or a validity verdict, appears only in that list; the one exception
-is ``"summary"``.  The other blocks hold each command's inputs and its
-non-certificate results, so the CSV, which renders only the list, leaves
-out no certificate.  The renderers here are the only code that serializes
-those certificates.
+value or a validity verdict, appears only in that list, but for two
+roll-ups of verdicts: ``"summary"``, over the whole list, and
+``norm_audit.group_axioms_valid``, over the norm audit's group-axiom
+entries.  Each input is written once, in ``"config"``, which holds only
+the fields the command reads.  A command's own block, where it has one,
+holds its non-certificate results and the descriptors as built, so the
+CSV, which renders only the list, leaves out no certificate.  The
+renderers here are the only code that serializes those certificates.
 
 The JSON is ``json.dumps`` with sorted keys and no whitespace, one line
 ending in a newline: equal reports give equal bytes, and
@@ -19,7 +22,7 @@ import csv
 import io
 import json
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def render_json(report: dict) -> bytes:

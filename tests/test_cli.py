@@ -1,6 +1,7 @@
 """CLI configs, exit codes, report formats and reproducibility."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -13,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from idemkit import cli
 from idemkit.cli import ExperimentConfig, _build_parser, build_report, config_from_args, main, run
 from idemkit.core import Certificate
 from idemkit.errors import ConfigError
-from idemkit.report import render_report
+from idemkit.report import SCHEMA_VERSION, render_report
 from test_bench_hooks import workloads
 
 
@@ -64,7 +66,7 @@ def test_k0_on_matrix_reports_z(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["k0"]["group"] == "Z"
-    assert report["schema"] == 2
+    assert report["schema"] == 3
 
 
 def test_k0_on_uhf_tower_reports_dyadic(tmp_path):
@@ -116,6 +118,20 @@ def test_lift_forms_the_input_square_once(monkeypatch, tmp_path):
     assert in_cli == len(products) - in_cli
     with pytest.raises(idemkit.PreconditionError, match="unknown lift variant"):
         build_report(ExperimentConfig(command="lift", variant="mystery"))
+
+
+def test_lift_writes_each_complex_entry_as_a_float_pair():
+    # a scalar is one [re, im] pair, and a matrix lists its rows of pairs
+    assert json.dumps(cli._complex_pairs(complex(-0.0, 0.25))) == "[-0.0, 0.25]"
+    m = np.array([[0, 1 - 0.5j], [-3j, 2]], dtype=complex)
+    pairs = cli._complex_pairs(m)
+    assert pairs == [[[0.0, 0.0], [1.0, -0.5]], [[0.0, -3.0], [2.0, 0.0]]]
+    assert all(type(v) is float for row in pairs for pair in row for v in pair)
+    scalar = build_report(ExperimentConfig(command="lift"))
+    assert scalar["input"]["element"] == [idemkit.calculus.h_bound(0.09), 0.0]
+    assert np.shape(scalar["output_element"]) == (2,)
+    matrix = build_report(ExperimentConfig(command="lift", instance={"kind": "matrix", "n": 3}))
+    assert np.shape(matrix["input"]["element"]) == np.shape(matrix["output_element"]) == (3, 3, 2)
 
 
 def test_printed_matrix_lift_at_a_tiny_tolerance_exits_zero(tmp_path):
@@ -583,6 +599,14 @@ def test_readme_library_example_runs_verbatim(capsys):
     assert elapsed < 1.0
 
 
+def test_readme_states_the_schema_and_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r'"schema": (\d+)', readme) == [str(SCHEMA_VERSION)]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", readme, re.MULTILINE)
+    assert len(rows) == len(_COMMAND_FLAGS)
+    assert {command: set(re.findall(r"--[a-z]+", flags)) for command, flags in rows} == _COMMAND_FLAGS
+
+
 def test_readme_shows_every_command():
     shown = {shlex.split(line)[1] for line in _readme_command_lines()}
     assert shown == {
@@ -660,8 +684,36 @@ def test_config_rejects_a_seed_numpy_cannot_take(seed):
 )
 def test_config_rejects_a_boolean_in_a_numeric_field(command, field, value):
     # JSON true and false are Python bools, which are ints
-    with pytest.raises(ConfigError, match=f"^{field} must be a number, not a boolean: {value}$"):
+    with pytest.raises(ConfigError, match=f"^{field} must be an? (integer|number), got {value}$"):
         ExperimentConfig.from_dict({"command": command, field: value})
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        # these ended in a TypeError traceback
+        ({"command": "swindle-check", "support": 2.5}, "support must be an integer, got 2.5"),
+        ({"command": "path-trivialize", "n": "4"}, "n must be an integer, got '4'"),
+        ({"command": "norm-audit", "samples": 1.5}, "samples must be an integer, got 1.5"),
+        # these ran and echoed the wrong type into the report
+        ({"command": "lift", "defect": "0.1"}, "defect must be a number, got '0.1'"),
+        ({"command": "collapse", "n": 3.0}, "n must be an integer, got 3.0"),
+        # the other annotations, and a missing command
+        ({"command": "lift", "variant": 1}, "variant must be a string, got 1"),
+        ({"command": "k0", "instance": [1, 2]}, "instance must be a JSON object, got [1, 2]"),
+        ({"command": "k0", "out": 3}, "out must be a string, got 3"),
+        ({"command": ["k0"]}, "command must be a string, got ['k0']"),
+        ({}, "a config needs its command"),
+    ],
+)
+def test_config_checks_every_field_against_its_annotation(d, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.build_report(ExperimentConfig.from_dict(d))
+
+
+def test_config_takes_an_int_where_it_reads_a_float():
+    config = ExperimentConfig.from_dict({"command": "lift", "tolerance": 1})
+    assert config.tolerance == 1 and cli.build_report(config)["config"]["tolerance"] == 1
 
 
 @pytest.mark.parametrize(
@@ -761,6 +813,12 @@ def test_readme_and_comparison_commands_parse(args):
     config = config_from_args(_build_parser().parse_args(args))
     assert config.command == args[0]
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+    # the report's config block holds the fields the command reads, and it
+    # rebuilds the run, where and how the report is written aside
+    block = cli._report_skeleton(config)["config"]
+    own = {"tolerance" if flag == "--tol" else flag[2:] for flag in _COMMAND_FLAGS[config.command]}
+    assert set(block) == {"command", "seed"} | own
+    assert ExperimentConfig.from_dict(block) == dataclasses.replace(config, out=None, format="json")
 
 
 def test_compare_reports_names_what_changed_inside_a_json_report():
@@ -806,9 +864,15 @@ def test_compare_ops_pairs_this_checkout_with_itself():
     assert lines[-1] == "0 failed checks"
 
 
-def test_collapse_keeps_its_own_default_size():
-    assert config_from_args(_build_parser().parse_args(["collapse"])).n == 16
-    assert config_from_args(_build_parser().parse_args(["path-trivialize"])).n == 2
+def test_each_flag_has_one_default():
+    # an omitted flag takes the config field's default in every command, in
+    # the full parser and in the one-command parser that main builds
+    for command in _COMMAND_FLAGS:
+        for parser in (_build_parser(), _build_parser([command])):
+            assert config_from_args(parser.parse_args([command])) == ExperimentConfig(command)
+    # so a bare collapse runs the n = 2 that build_report runs
+    report = build_report(config_from_args(_build_parser().parse_args(["collapse"])))
+    assert report["config"] == {"command": "collapse", "instance": None, "n": 2, "seed": 0}
 
 
 #: the flags every command takes

@@ -167,7 +167,7 @@ def test_collapse_holds_no_operators_and_peaks_small():
         tracemalloc.stop()
     assert cc.valid
     assert peak < 18 * 2**20
-    assert [f.name for f in dataclasses.fields(cc)] == ["n", "inner", "cert"]
+    assert [f.name for f in dataclasses.fields(cc)] == ["cert"]
     assert not any(isinstance(v, EndOperator) for v in vars(cc).values())
 
 

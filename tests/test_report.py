@@ -20,11 +20,17 @@ def test_every_readme_report_parses_back_and_checks_again(seed):
         if code == 1 or "--format" in args or tuple(args) in seen:
             continue
         seen.add(tuple(args))
-        report = cli.build_report(cli.config_from_args(cli._build_parser().parse_args(args)))
+        config = cli.config_from_args(cli._build_parser().parse_args(args))
+        report = cli.build_report(config)
         text = render_json(report).decode()
         assert text.endswith("\n") and text.count("\n") == 1
         doc = json.loads(text)
         assert doc == _document(report)
+        # each input is written once, in the config block, which rebuilds the run
+        assert cli.ExperimentConfig.from_dict(doc["config"]) == config
+        assert not {"collapse", "swindle", "path"} & doc.keys()
+        assert "variant" not in doc.get("input", {})
+        assert "trials" not in doc.get("transfer", {})
         valid = [c["valid"] for c in doc["certificates"]]
         for c in doc["certificates"]:
             assert Certificate.from_json(c["entries"]).valid == c["valid"]

@@ -61,7 +61,7 @@ DEFAULT_EXTRAS = [
     # README command takes
     ["k0", "--instance", '{"kind":"complex"}'],
     ["k0", "--instance", '{"kind":"functions","points":4}'],
-    # the parser's own defaults, which no README command leaves unset
+    # the config's defaults, which no README command leaves unset
     ["collapse"],
     ["lift"],
     # printed lifts of dense matrices, whose series the measured power norms
